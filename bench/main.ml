@@ -44,14 +44,15 @@ module Metr = Elastic_metrics
 
 (* Run a design under both evaluation modes and record the settle cost:
    the [eval_reduction] field is the headline claim — node evaluations
-   per cycle saved by the levelized schedule over the blind fixpoint. *)
+   per cycle the arena's scheduled settle saves over the blind
+   fixpoint. *)
 let engine_record ?(cycles = 400) net =
   let run mode =
     let eng = Elastic_sim.Engine.create ~monitor:false ~mode net in
     Elastic_sim.Engine.run eng cycles;
     eng
   in
-  let lv = run Elastic_sim.Engine.Levelized in
+  let ar = run Elastic_sim.Engine.Arena in
   let rf = run Elastic_sim.Engine.Reference in
   let prof eng =
     let p = Elastic_sim.Engine.profile eng in
@@ -68,7 +69,7 @@ let engine_record ?(cycles = 400) net =
             else
               Elastic_sim.Profile.settle_seconds p *. 1e6 /. float_of_int cyc)) ]
   in
-  let sched = Elastic_sim.Engine.schedule lv in
+  let sched = Elastic_sim.Engine.schedule ar in
   let epc eng =
     Elastic_sim.Profile.evals_per_cycle (Elastic_sim.Engine.profile eng)
   in
@@ -83,9 +84,9 @@ let engine_record ?(cycles = 400) net =
             Json.Int (Elastic_sim.Schedule.scc_nodes sched));
            ("largest_scc",
             Json.Int (Elastic_sim.Schedule.largest_scc sched)) ]);
-      ("levelized", prof lv);
+      ("arena", prof ar);
       ("reference", prof rf);
-      ("eval_reduction", Json.Float (epc rf /. epc lv)) ]
+      ("eval_reduction", Json.Float (epc rf /. epc ar)) ]
 
 let run_windowed net sink cycles =
   let eng = Elastic_sim.Engine.create net in
@@ -846,7 +847,7 @@ let bechamel_suite () =
 (* --json: machine-readable trajectory records, one BENCH_E<k>.json per *)
 (* experiment, written to the current directory.  Each record carries   *)
 (* the experiment's headline numbers plus an [engine] block comparing   *)
-(* the levelized scheduler against the reference fixpoint on that       *)
+(* the arena's scheduled settle against the reference fixpoint on that  *)
 (* experiment's main design.  Schema: EXPERIMENTS.md.                   *)
 
 (* quick and full sweeps produce different numbers; stamping the mode
@@ -1039,57 +1040,61 @@ let json_e6 ~n ~pcts ?artifact () =
      @ [ metrics_record ~artifact:"METRICS_E6" ~cycles:(2 * n)
            dp.Examples.d_net ])
 
-(* E9: arena backend speedup.  Both backends run the same levelized    *)
-(* schedule, so everything observable (sink streams, eval counts) must *)
-(* agree; the arena's flat preallocated state buys the wall-clock      *)
-(* ratio recorded here.  Timing fields carry the [_seconds] /          *)
-(* [_per_second] / [_speedup] suffixes the gate skips; the committed   *)
-(* baseline is backend- and machine-independent.                       *)
+(* E9: arena backend speedup over the reference fixpoint.  Both       *)
+(* backends reach the same fixed point, so the sink streams must      *)
+(* agree; the arena's eval count is deterministic and compared        *)
+(* exactly with the baseline.  The settle-only ratio is gated; the    *)
+(* end-to-end (create + run) ratio is recorded next to it.  Timing    *)
+(* fields carry the [_seconds] / [_per_second] / [_speedup] suffixes  *)
+(* the gate skips.                                                    *)
 
 let json_e9 ~cycles () =
   let measure mode net =
-    (* Best of a few fresh engines: the minimum settle time is the one
-       least polluted by scheduler noise on a loaded machine. *)
-    let best = ref infinity in
+    (* Best of a few fresh engines: the minimum time is the one least
+       polluted by scheduler noise on a loaded machine. *)
+    let best_settle = ref infinity and best_run = ref infinity in
     let keep = ref None in
     for _ = 1 to 5 do
+      let t0 = Elastic_sim.Clock.monotonic () in
       let eng = Elastic_sim.Engine.create ~monitor:false ~mode net in
       Elastic_sim.Engine.run eng cycles;
-      let w =
+      let run =
+        Elastic_sim.Clock.seconds_between t0 (Elastic_sim.Clock.monotonic ())
+      in
+      let settle =
         Elastic_sim.Profile.settle_seconds (Elastic_sim.Engine.profile eng)
       in
-      if w < !best then best := w;
+      best_settle := Float.min !best_settle settle;
+      best_run := Float.min !best_run run;
       keep := Some eng
     done;
-    (Option.get !keep, !best)
+    (Option.get !keep, !best_settle, !best_run)
   in
   let design name (d : Examples.design) =
-    let lv, tl = measure Elastic_sim.Engine.Levelized d.Examples.d_net in
-    let ar, ta = measure Elastic_sim.Engine.Arena d.Examples.d_net in
+    let rf, tr, rr = measure Elastic_sim.Engine.Reference d.Examples.d_net in
+    let ar, ta, ra = measure Elastic_sim.Engine.Arena d.Examples.d_net in
     let stream eng =
       Transfer.values (Elastic_sim.Engine.sink_stream eng d.Examples.d_sink)
     in
-    let evals eng =
-      Elastic_sim.Profile.evals (Elastic_sim.Engine.profile eng)
-    in
-    let matches =
-      List.equal Value.equal (stream lv) (stream ar)
-      && evals lv = evals ar
-    in
-    let speedup = tl /. ta in
+    let speedup = tr /. ta in
     Json.Obj
       [ ("design", Json.Str name);
         ("cycles", Json.Int cycles);
-        ("levelized_settle_seconds", Json.Float tl);
+        ("reference_settle_seconds", Json.Float tr);
         ("arena_settle_seconds", Json.Float ta);
-        ("levelized_cycles_per_second", Json.Float (float_of_int cycles /. tl));
+        ("reference_cycles_per_second", Json.Float (float_of_int cycles /. tr));
         ("arena_cycles_per_second", Json.Float (float_of_int cycles /. ta));
         ("arena_speedup", Json.Float speedup);
-        ("arena_matches_levelized", Json.Bool matches);
-        (* Conservative floor for the --check gate: measured speedups on
-           the speculative designs sit around 5x; anything under 3x means
-           the arena hot path regressed, not that the machine was busy. *)
-        ("speedup_ok", Json.Bool (speedup >= 3.0)) ]
+        ("end_to_end_speedup", Json.Float (rr /. ra));
+        ("arena_node_evals",
+         Json.Int (Elastic_sim.Profile.evals (Elastic_sim.Engine.profile ar)));
+        ("arena_matches_reference",
+         Json.Bool (List.equal Value.equal (stream rf) (stream ar)));
+        (* Floor for the --check gate: the arena settles 8.5-11x faster
+           than the reference fixpoint on the speculative designs;
+           anything under 6.5x means the arena hot path regressed, not
+           that the machine was busy. *)
+        ("speedup_ok", Json.Bool (speedup >= 6.5)) ]
   in
   let n = cycles / 2 in
   let e5 = Examples.vl_speculative ~ops:(Alu.operands ~error_rate_pct:5 ~seed:42 n) in
@@ -1261,27 +1266,27 @@ let claim_checks fail path j =
         pts
     | _ -> fail path "points" "missing"
   end;
-  (* E9: the arena backend must agree with the levelized interpreter on
-     everything observable and must actually be faster — a speedup under
-     the (deliberately conservative) floor means the flat hot path
-     regressed. *)
+  (* E9: the arena backend must agree with the reference fixpoint on the
+     sink streams and must actually be faster — a speedup under the
+     floor means the flat hot path regressed.  Its eval count is
+     compared exactly by the baseline diff. *)
   if String.equal experiment "E9" then begin
     match Json.member "designs" j with
     | Some (Json.List ds) ->
       List.iteri
         (fun i d ->
-           (match Json.member "arena_matches_levelized" d with
+           (match Json.member "arena_matches_reference" d with
             | Some (Json.Bool true) -> ()
             | _ ->
               fail path
-                (Fmt.str "designs[%d].arena_matches_levelized" i)
-                "arena run diverged from the levelized run");
+                (Fmt.str "designs[%d].arena_matches_reference" i)
+                "arena run diverged from the reference run");
            match Json.member "speedup_ok" d with
            | Some (Json.Bool true) -> ()
            | _ ->
              fail path
                (Fmt.str "designs[%d].speedup_ok" i)
-               (Fmt.str "arena speedup below the 3x floor (%gx)"
+               (Fmt.str "arena speedup below the 6.5x floor (%gx)"
                   (match Json.member "arena_speedup" d with
                    | Some v -> flt v
                    | None -> nan)))

@@ -5,28 +5,28 @@ open Elastic_kernel
     Channel state lives in preallocated flat arrays — four 2-bit Kleene
     codes packed per channel into an [int] control word, data split into
     an unboxed int array, an [int64] {!Bigarray} for word buses and a
-    boxed [Value.t] spill array — and the levelized schedule is
+    boxed [Value.t] spill array — and the topological schedule is
     compiled to flat index arrays walked by a tight loop.
 
-    The arena executes the {e identical} algorithm as the record
-    engine's [Levelized] mode (same evaluation order, dirty-set
-    propagation and budgets), so eval counts, settle passes, traces and
-    metrics are byte-identical across the two backends; the speedup
-    comes from removing allocation and indirection.  [Engine] owns the
-    mode dispatch, error rendering and everything outside the settle
-    loop; node register state stays in {!Instance} and is shared. *)
+    Acyclic nodes settle in one evaluation and cyclic regions iterate
+    locally over a dirty set of changed wires, so the arena reaches the
+    same fixed point as the engine's [Reference] fixpoint with far
+    fewer evaluations; traces, metrics and errors are byte-identical
+    across the two backends.  [Engine] owns the mode dispatch, error
+    rendering and everything outside the settle loop; node register
+    state stays in {!Instance} and is shared. *)
 
 type t
 
 (** Raised when a cyclic region exhausts its iteration budget; the
-    engine converts it into the same E110 error [Levelized] raises. *)
+    engine converts it into the E110 non-convergence error. *)
 exception Did_not_converge
 
 (** [create ~schedule ~profile ~cycle_evals ~nchan specs] compiles the
     arena.  [specs] lists, per dense node index, the instance and its
     dense input/sel/output channel indices (the engine's compiled
     order); [profile] and [cycle_evals] are the engine's counters,
-    updated exactly as the record backends update them. *)
+    updated exactly as the record backend updates them. *)
 val create :
   schedule:Schedule.t ->
   profile:Profile.t ->

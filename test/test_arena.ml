@@ -8,7 +8,7 @@ open Helpers
 
 (* The flat-arena evaluation backend (lib/sim/arena.ml): mode selection
    plumbing, byte-exact golden artefacts under [Arena], error parity
-   with the record backends, and the settle loop's allocation guard.
+   with the reference backend, and the settle loop's allocation guard.
    Cross-backend trace/metrics equivalence over whole designs lives in
    {!Test_engine_equiv}; these are the arena-specific contracts. *)
 
@@ -22,9 +22,11 @@ let test_mode_names () =
          (Some (Engine.mode_name m))
          (Option.map Engine.mode_name
             (Engine.mode_of_string (Engine.mode_name m))))
-    [ Engine.Levelized; Engine.Reference; Engine.Arena ];
+    [ Engine.Reference; Engine.Arena ];
   Alcotest.(check bool) "parsing is case-insensitive" true
     (Engine.mode_of_string "ARENA" = Some Engine.Arena);
+  Alcotest.(check bool) "arena is the default" true
+    (Engine.default_mode = Engine.Arena);
   Alcotest.(check bool) "junk is rejected" true
     (Engine.mode_of_string "fastest" = None)
 
@@ -35,32 +37,9 @@ let tiny_net () =
   let _ = conn b (s, Out 0) (k, In 0) in
   b.net
 
-(* [ELASTIC_EVAL_MODE] picks the default backend; an explicit [~mode]
-   always wins; unknown values fall back to levelized instead of
-   failing every engine creation. *)
-let test_env_default () =
-  let with_env v f =
-    let old = Sys.getenv_opt "ELASTIC_EVAL_MODE" in
-    Unix.putenv "ELASTIC_EVAL_MODE" v;
-    Fun.protect
-      ~finally:(fun () ->
-          Unix.putenv "ELASTIC_EVAL_MODE" (Option.value old ~default:""))
-      f
-  in
-  let net = tiny_net () in
-  with_env "arena" (fun () ->
-      Alcotest.(check string) "env default" "arena"
-        (Engine.mode_name (Engine.mode (Engine.create net)));
-      Alcotest.(check string) "explicit mode wins" "reference"
-        (Engine.mode_name
-           (Engine.mode (Engine.create ~mode:Engine.Reference net))));
-  with_env "warp-speed" (fun () ->
-      Alcotest.(check string) "unknown value falls back" "levelized"
-        (Engine.mode_name (Engine.mode (Engine.create net))))
-
 (* --- error parity ---------------------------------------------------- *)
 
-let modes = [ Engine.Levelized; Engine.Reference; Engine.Arena ]
+let modes = [ Engine.Reference; Engine.Arena ]
 
 let rendered_error f =
   match f () with
@@ -69,8 +48,8 @@ let rendered_error f =
     (e.Engine.err_code, Engine.error_to_string e)
 
 (* E110 (cycle budget): the error is raised before the backend runs,
-   but its rendering flows through the same provenance plumbing — all
-   three modes must produce the identical string. *)
+   but its rendering flows through the same provenance plumbing — both
+   modes must produce the identical string. *)
 let test_e110_parity () =
   let net = tiny_net () in
   let errors =
@@ -116,7 +95,7 @@ let test_e102_parity () =
 (* A mux whose select stream goes out of range mid-run: the per-node
    [Invalid_argument] must surface as the same invariant error — node
    provenance included — from the packed evaluator as from the record
-   backends.  (The arena recovers the node from its last-eval cursor.) *)
+   backend.  (The arena recovers the node from its last-eval cursor.) *)
 let test_invariant_parity () =
   let build () =
     let b = builder () in
@@ -150,23 +129,23 @@ let test_invariant_parity () =
 
 (* The arena batches its eval accounting ([Profile.add_evals] once per
    settle); totals, per-node counters and the pass histogram must still
-   agree with the levelized backend's one-note_eval-per-eval stream. *)
+   equal the one-note_eval-per-eval stream of the record interpreter
+   that ran the same schedule before the arena replaced it.  The pinned
+   values were captured from that interpreter. *)
 let test_profile_parity () =
   let ops = Examples.rs_ops ~error_rate_pct:10 ~seed:5 100 in
   let net = (Examples.rs_speculative ~ops).Examples.d_net in
-  let profile mode =
-    let eng = Engine.create ~mode net in
-    Engine.run eng 150;
-    Engine.profile eng
-  in
-  let pl = profile Engine.Levelized and pa = profile Engine.Arena in
-  Alcotest.(check int) "total evals" (Profile.evals pl) (Profile.evals pa);
-  Alcotest.(check int) "max passes" (Profile.max_passes pl)
-    (Profile.max_passes pa);
+  let eng = Engine.create ~mode:Engine.Arena net in
+  Engine.run eng 150;
+  let pa = Engine.profile eng in
+  Alcotest.(check int) "total evals" 3800 (Profile.evals pa);
+  Alcotest.(check int) "max passes" 4 (Profile.max_passes pa);
   Alcotest.(check (list (pair int int))) "pass histogram"
-    (Profile.pass_histogram pl) (Profile.pass_histogram pa);
+    [ (3, 141); (4, 9) ] (Profile.pass_histogram pa);
   Alcotest.(check (list (pair int int))) "busiest nodes"
-    (Profile.top_nodes pl 10) (Profile.top_nodes pa 10);
+    [ (1, 459); (8, 450); (4, 408); (5, 400); (2, 391); (11, 342);
+      (9, 300); (10, 300); (0, 150); (3, 150) ]
+    (Profile.top_nodes pa 10);
   let sum_nodes p =
     List.fold_left (fun acc (_, c) -> acc + c) 0 (Profile.top_nodes p 10_000)
   in
@@ -198,7 +177,7 @@ let test_injected_parity () =
     List.rev !log
   in
   Alcotest.(check (list (list int))) "per-cycle injected channels"
-    (injected Engine.Levelized) (injected Engine.Arena)
+    (injected Engine.Reference) (injected Engine.Arena)
 
 (* Two arena runs of the same design are bit-identical end to end —
    the preallocated buffers carry no state across [create]. *)
@@ -234,29 +213,28 @@ let test_vcd_golden_arena () =
     (Vcd.contents r)
 
 (* The E5/E6 experiment designs, rendered to Prometheus text off a
-   deterministic tick clock: levelized and arena snapshots must be
-   byte-identical — including the settle-seconds gauges, because both
-   backends read the clock exactly twice per cycle. *)
-let prom_render mode net =
-  let eng = Engine.create ~mode ~clock:(Clock.ticker ~step_ns:100L) net in
+   deterministic tick clock, must match the committed fixtures
+   byte-for-byte — eval counts and settle-seconds gauges included,
+   because the clock is read exactly twice per cycle. *)
+let test_prom_golden ~fixture net =
+  let eng =
+    Engine.create ~mode:Engine.Arena ~clock:(Clock.ticker ~step_ns:100L) net
+  in
   let sampler = Sampler.create eng in
   Engine.set_observer eng (Some (Sampler.observe sampler));
   Engine.run eng 150;
-  Prometheus.render (Sampler.sample sampler eng)
-
-let test_prom_golden name net =
   Alcotest.(check string)
-    (name ^ ": prometheus render identical under arena")
-    (prom_render Engine.Levelized net)
-    (prom_render Engine.Arena net)
+    (fixture ^ ": prometheus render byte-exact under arena")
+    (read_file fixture)
+    (Prometheus.render (Sampler.sample sampler eng))
 
 let test_prom_golden_e5 () =
-  test_prom_golden "E5 vl_speculative"
+  test_prom_golden ~fixture:"e5_vl_speculative.prom.expected"
     (Examples.vl_speculative
        ~ops:(Alu.operands ~error_rate_pct:10 ~seed:7 100)).Examples.d_net
 
 let test_prom_golden_e6 () =
-  test_prom_golden "E6 rs_speculative"
+  test_prom_golden ~fixture:"e6_rs_speculative.prom.expected"
     (Examples.rs_speculative
        ~ops:(Examples.rs_ops ~error_rate_pct:10 ~seed:5 100)).Examples.d_net
 
@@ -265,7 +243,7 @@ let test_prom_golden_e6 () =
 (* The arena settle loop must not allocate: on a control-only pipeline
    every word allocated per cycle comes from the engine's fixed
    bookkeeping (resolved-signal snapshots, observers), which the
-   levelized backend shares.  Allocation counts are deterministic, so
+   reference backend shares.  Allocation counts are deterministic, so
    the bounds are exact machine-independent regression guards. *)
 let words_per_cycle mode net =
   let eng = Engine.create ~mode net in
@@ -285,37 +263,35 @@ let test_settle_allocation_guard () =
   let _ = conn b (e1, Out 0) (e2, In 0) in
   let _ = conn b (e2, Out 0) (k, In 0) in
   let arena = words_per_cycle Engine.Arena b.net in
-  let lev = words_per_cycle Engine.Levelized b.net in
+  let reference = words_per_cycle Engine.Reference b.net in
   if arena > 180.0 then
     Alcotest.failf
       "arena allocates %.1f words/cycle on a control-only pipeline \
        (budget 180): the settle loop has started allocating" arena;
-  if arena > lev -. 20.0 then
+  if arena > reference -. 20.0 then
     Alcotest.failf
-      "arena (%.1f words/cycle) no longer allocates less than levelized \
-       (%.1f): the flat settle path has regressed" arena lev
+      "arena (%.1f words/cycle) no longer allocates less than reference \
+       (%.1f): the flat settle path has regressed" arena reference
 
 let suite =
   [ Alcotest.test_case "mode names round-trip" `Quick test_mode_names;
-    Alcotest.test_case "ELASTIC_EVAL_MODE picks the default backend"
-      `Quick test_env_default;
     Alcotest.test_case "E110 renders identically in all modes" `Quick
       test_e110_parity;
     Alcotest.test_case "E102 renders identically in all modes" `Quick
       test_e102_parity;
     Alcotest.test_case "invariant errors render identically in all modes"
       `Quick test_invariant_parity;
-    Alcotest.test_case "profile agrees with levelized" `Quick
+    Alcotest.test_case "profile matches pinned eval counts" `Quick
       test_profile_parity;
-    Alcotest.test_case "injected channels agree with levelized" `Quick
+    Alcotest.test_case "injected channels agree with reference" `Quick
       test_injected_parity;
     Alcotest.test_case "arena runs are deterministic" `Quick
       test_arena_determinism;
     Alcotest.test_case "golden VCD is byte-exact under arena" `Quick
       test_vcd_golden_arena;
-    Alcotest.test_case "E5 prometheus render matches levelized" `Quick
+    Alcotest.test_case "E5 prometheus render matches golden" `Quick
       test_prom_golden_e5;
-    Alcotest.test_case "E6 prometheus render matches levelized" `Quick
+    Alcotest.test_case "E6 prometheus render matches golden" `Quick
       test_prom_golden_e6;
     Alcotest.test_case "arena settle loop does not allocate" `Quick
       test_settle_allocation_guard ]
