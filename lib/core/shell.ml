@@ -18,8 +18,6 @@ type session = {
   mutable pending_resume : Elastic_runner.Checkpoint.t option;
       (* Set by [runner resume] for the campaign command it re-executes;
          consumed by the next [campaign --par] run. *)
-  mutable eval_mode : Elastic_sim.Engine.eval_mode;
-      (* Backend for simulation engines, picked by the [mode] command. *)
   mutable spans_capacity : int option;
       (* [Some per-worker ring capacity] while [spans on] is in effect:
          the next [campaign --par] records a span ledger. *)
@@ -35,239 +33,136 @@ type session = {
 let create () =
   { net = None; design = "netlist"; undo = []; redo = [];
     trace_capacity = None; tracer = None; on_error_continue = false;
-    pending_resume = None; eval_mode = Elastic_sim.Engine.default_mode;
-    spans_capacity = None; collector = None; telemetry = None }
+    pending_resume = None; spans_capacity = None; collector = None;
+    telemetry = None }
 
 let current s = s.net
 
-let help =
-  {|Commands (the paper's exploration toolkit):
-  load <design>            load a predefined design:
-                           fig1a fig1b fig1c fig1d table1
-                           vl-stalling vl-speculative rs-nonspec rs-spec
-                           rs-alarmed
-  show                     print nodes and channels
-  candidates               list speculation candidates (critical cycles
-                           through a multiplexor select)
-  bubble <channel>         insert an empty EB on a channel
-  buffer <channel> eb|eb0  insert a buffer of the given kind
-  remove-buffer <node>     splice an empty buffer out
-  convert <node> eb|eb0    change a buffer implementation (Fig. 5)
-  fifo <channel> <depth>   insert a chain of empty EBs
-  retime-fwd <node>        move input-buffer tokens across a block
-  retime-bwd <node>        move an empty output buffer to the inputs
-  shannon <mux>            Shannon decomposition of the block after <mux>
-  early <mux>              switch <mux> to early evaluation
-  share <n1> <n2> [sched]  share two identical blocks (sched: sticky,
-                           toggle, two-bit, round-robin, static0, static1)
-  speculate [mux] [sched]  the full recipe of Section 4 (steps 2-4)
-  save <file> / open <file>  netlist files (.enl); custom blocks must be
-                           registered with Library.register before open
-  throughput [cycles]      simulate and report per-sink throughput
-  stats [cycles]           per-channel utilization and stall ratios
-  trace [cycles]           Table-1-style trace of every channel
-  trace on [capacity]      record typed events (transfers, stalls, anti-
-                           tokens, predictions, squashes, replays) during
-                           subsequent simulation commands
-  trace off                stop recording (the last trace stays dumpable)
-  trace dump [n]           print the last n recorded events
-  vcd <file> [cycles]      simulate and write a VCD waveform (handshake
-                           wires + channel state + data, GTKWave-ready)
-  timeline [cycles]        per-scheduler speculation timeline: accuracy,
-                           squash-penalty distribution, commit intervals
-  attribute [cycles]       simulate, walk the backpressure chain to the
-                           bottleneck channel, and cross-check it against
-                           the marked-graph critical cycle
-  profile [cycles]         evaluation schedule and per-node settle cost
-                           (fresh engine per call: the report covers this
-                           invocation only, not previous runs)
-  metrics [cycles]         simulate and print the metrics registry in
-                           Prometheus text-exposition format (counters,
-                           gauges, histograms over engine / channels /
-                           schedulers / faults)
-  metrics prom <file> [cycles]   write the Prometheus snapshot to a file
-  metrics jsonl <file> [cycles] [window]  windowed JSONL time series
-                           (one cumulative snapshot line per window)
-  watch [cycles] [every]   live dashboard: simulate and render a frame
-                           every [every] cycles (throughput, prediction
-                           accuracy, replay penalties, stalls, occupancy)
-  mode [arena|reference]   show or pick the evaluation backend used by
-                           simulation commands (default: arena)
-  cycletime                static cycle-time analysis
-  area                     gate-equivalent area
-  bound                    marked-graph throughput bound
-  critical                 critical cycle of the marked graph
-  verify                   exhaustive state exploration (protocol,
-                           deadlock, starvation)
-  prove [chain]            statically check the bundled certificate
-                           chains (fig1b fig1c fig1d vl-slack
-                           rs-slack): re-validate every recorded
-                           step's side conditions and replay it on the
-                           channel graph — zero engine cycles; E4xx
-                           diagnostics name the first failing step
-  prove jsonl <file>       write every chain's proof as JSONL
-                           (schema elastic-speculation/proof/v1)
-  equiv <design> [cycles]  co-simulate the loaded netlist against a
-                           predefined design and compare sink streams
-                           (transfer equivalence, Section 3.1)
-  equiv <design> --static  static mode instead: normalize both netlists
-                           by confluent empty-buffer removal and compare
-                           canonical forms (decides buffer-insertion
-                           differences without simulating)
-  lint                     static analysis: structural, SELF-invariant
-                           and speculation rules (E/W/I codes); fails on
-                           error findings (script exit code 1)
-  lint <code|slug>         run a single rule (e.g. lint E102, lint
-                           comb-cycle)
-  lint --fix               apply the machine-applicable fix-its from the
-                           report (insert bubble, convert buffer, seed a
-                           token); undoable
-  lint jsonl <file>        write the report as JSONL
-                           (schema elastic-speculation/lint/v1)
-  inject <ch> flip <cycle> <bit>       single fault-injection experiments:
-  inject <ch> drop|dup|glitch <cycle>  run a faulted and a clean engine in
-  inject <ch> stall <cycle> [dur]      lockstep and classify the outcome
-  inject <node> mispredict <cycle> <way>
-  campaign flips <ch> <n> <seed> [cycles]  seeded single-bit-flip campaign
-  campaign storm <n> <seed> [cycles]       flips spread over all channels
-                           (sinks named "alarm" act as error detectors:
-                           a value >= 2 counts as detection)
-  campaign ... --par <n> [--checkpoint <file>] [--serve <port>]
-                           shard the campaign over n workers under the
-                           supervised runner: crashing shards are
-                           isolated with provenance, transient failures
-                           retry with seeded backoff, completed shards
-                           checkpoint to <file> for resume; --serve
-                           exposes live telemetry for this run (or use
-                           the serve command for a persistent server)
-  serve [port]             start the live telemetry HTTP server on
-                           localhost (default port 8080; port 0 picks
-                           an ephemeral port): /metrics /status
-                           /spans.jsonl /healthz; subsequent campaign
-                           --par runs publish progress + heartbeats to
-                           it, and a watchdog flips /healthz to 503
-                           when a running shard stalls
-  serve stop               stop the telemetry server
-  runner status <file> [--json]
-                           completeness of a campaign checkpoint, plus a
-                           per-shard outcome digest (retries, slowest
-                           shard, total attempt seconds); --json emits
-                           the elastic-speculation/status/v1 document
-                           the live /status endpoint also serves
-  runner resume <file>     re-run the campaign command stored in the
-                           checkpoint, adopting completed shards instead
-                           of recomputing them
-  spans on [capacity]      record structured spans (campaign -> shard ->
-                           attempt -> compile/settle/checkpoint-write/
-                           backoff-sleep) during subsequent campaign
-                           --par runs, one ring per worker
-  spans off                stop recording (the last ledger stays
-                           dumpable and exportable)
-  spans dump [n]           print the last n recorded spans
-  spans jsonl <file>       export the ledger as JSONL
-                           (schema elastic-speculation/spans/v1)
-  spans chrome <file>      export Chrome trace-event JSON (load in
-                           Perfetto / chrome://tracing; one track per
-                           worker)
-  spans folded <file>      export collapsed stacks for flamegraph.pl
-  on-error continue|abort  script mode: report failing lines (with their
-                           line numbers) and keep going, or stop at the
-                           first error (the default)
-  dot <file>               export Graphviz
-  verilog <file>           export the elastic controller as Verilog
-  blif <file>              export the control network for SIS/ABC
-  smv <file>               export a NuSMV control model
-  undo / redo              navigate the transformation history
-  help                     this text
-  quit (or exit)           leave the shell|}
-
-(* Every word [execute_cmd] dispatches on, in help order; the
-   help-coverage test keeps this list, the dispatcher and the help text
-   consistent. *)
-let commands =
-  [ "load"; "show"; "candidates"; "bubble"; "buffer"; "remove-buffer";
-    "convert"; "fifo"; "retime-fwd"; "retime-bwd"; "shannon"; "early";
-    "share"; "speculate"; "save"; "open"; "throughput"; "stats"; "trace";
-    "vcd"; "timeline"; "attribute"; "profile"; "metrics"; "watch"; "mode";
-    "cycletime"; "area"; "bound"; "critical"; "verify"; "prove"; "equiv";
-    "lint"; "inject";
-    "campaign"; "serve"; "runner"; "spans"; "on-error"; "dot"; "verilog";
-    "blif";
-    "smv";
-    "undo"; "redo"; "help"; "quit"; "exit" ]
+let ( let* ) = Result.bind
 
 let designs =
+  let vl_ops () = Elastic_datapath.Alu.operands ~error_rate_pct:10 ~seed:1 200
+  and rs_ops pct = Examples.rs_ops ~error_rate_pct:pct ~seed:1 200 in
   [ ("fig1a", fun () -> (Figures.fig1a ()).Figures.net);
     ("fig1b", fun () -> (Figures.fig1b ()).Figures.net);
     ("fig1c", fun () -> (Figures.fig1c ()).Figures.net);
     ("fig1d", fun () -> (Figures.fig1d ()).Figures.net);
     ("table1", fun () -> (Figures.table1 ()).Figures.t1_net);
     ("vl-stalling",
-     fun () ->
-       (Examples.vl_stalling
-          ~ops:(Elastic_datapath.Alu.operands ~error_rate_pct:10 ~seed:1 200))
-         .Examples.d_net);
+     fun () -> (Examples.vl_stalling ~ops:(vl_ops ())).Examples.d_net);
     ("vl-speculative",
-     fun () ->
-       (Examples.vl_speculative
-          ~ops:(Elastic_datapath.Alu.operands ~error_rate_pct:10 ~seed:1 200))
-         .Examples.d_net);
+     fun () -> (Examples.vl_speculative ~ops:(vl_ops ())).Examples.d_net);
     ("rs-nonspec",
-     fun () ->
-       (Examples.rs_nonspeculative
-          ~ops:(Examples.rs_ops ~error_rate_pct:10 ~seed:1 200))
-         .Examples.d_net);
+     fun () -> (Examples.rs_nonspeculative ~ops:(rs_ops 10)).Examples.d_net);
     ("rs-spec",
-     fun () ->
-       (Examples.rs_speculative
-          ~ops:(Examples.rs_ops ~error_rate_pct:10 ~seed:1 200))
-         .Examples.d_net);
+     fun () -> (Examples.rs_speculative ~ops:(rs_ops 10)).Examples.d_net);
     ("rs-alarmed",
      fun () ->
-       (fst
-          (Examples.rs_speculative_alarmed
-             ~ops:(Examples.rs_ops ~error_rate_pct:0 ~seed:1 200)))
-         .Examples.d_net) ]
+       (fst (Examples.rs_speculative_alarmed ~ops:(rs_ops 0))).Examples.d_net)
+  ]
 
-let sched_of_string = function
-  | "sticky" -> Some Scheduler.Sticky
-  | "toggle" -> Some Scheduler.Toggle
-  | "two-bit" -> Some Scheduler.Two_bit
-  | "round-robin" -> Some Scheduler.Round_robin
-  | "static0" -> Some (Scheduler.Static 0)
-  | "static1" -> Some (Scheduler.Static 1)
-  | "hinted-replay" -> Some Scheduler.Hinted_replay
-  | _ -> None
+(* Resolve a named [what] among [names] with [find]. *)
+let lookup what names find name =
+  match find name with
+  | Some x -> Ok x
+  | None ->
+    Error
+      (Fmt.str "unknown %s %S (available: %s)" what name
+         (String.concat ", " names))
 
-(* Resolve a node argument: numeric id or node name. *)
-let node_arg net s =
+let design_arg =
+  lookup "design" (List.map fst designs) (fun n -> List.assoc_opt n designs)
+
+let sched_arg = function
+  | "sticky" -> Ok Scheduler.Sticky
+  | "toggle" -> Ok Scheduler.Toggle
+  | "two-bit" -> Ok Scheduler.Two_bit
+  | "round-robin" -> Ok Scheduler.Round_robin
+  | "static0" -> Ok (Scheduler.Static 0)
+  | "static1" -> Ok (Scheduler.Static 1)
+  | "hinted-replay" -> Ok Scheduler.Hinted_replay
+  | sc -> Error (Fmt.str "unknown scheduler %S" sc)
+
+(* Resolve a node or channel argument: a numeric id (checked by [by_id])
+   or a name (looked up by [by_name]). *)
+let id_or_name what ~by_id ~by_name s =
   match int_of_string_opt s with
-  | Some id ->
-    (try Ok (Netlist.node net id).Netlist.id
-     with Invalid_argument m -> Error m)
-  | None -> (
-      match Netlist.find_node net s with
-      | Some n -> Ok n.Netlist.id
-      | None -> Error (Fmt.str "no node called %S" s))
+  | Some id -> (try Ok (by_id id) with Invalid_argument m -> Error m)
+  | None ->
+    Option.to_result (by_name s) ~none:(Fmt.str "no %s called %S" what s)
 
-let channel_arg net s =
-  match int_of_string_opt s with
-  | Some id ->
-    (try Ok (Netlist.channel net id).Netlist.ch_id
-     with Invalid_argument m -> Error m)
-  | None -> (
-      match
-        List.find_opt
-          (fun (c : Netlist.channel) -> String.equal c.Netlist.ch_name s)
-          (Netlist.channels net)
-      with
-      | Some c -> Ok c.Netlist.ch_id
-      | None -> Error (Fmt.str "no channel called %S" s))
+let node_arg net =
+  id_or_name "node"
+    ~by_id:(fun id -> (Netlist.node net id).Netlist.id)
+    ~by_name:(fun s ->
+        Option.map (fun n -> n.Netlist.id) (Netlist.find_node net s))
+
+let channel_arg net =
+  id_or_name "channel"
+    ~by_id:(fun id -> (Netlist.channel net id).Netlist.ch_id)
+    ~by_name:(fun s ->
+        List.find_map
+          (fun (c : Netlist.channel) ->
+             if String.equal c.Netlist.ch_name s then Some c.Netlist.ch_id
+             else None)
+          (Netlist.channels net))
 
 let buffer_kind_arg = function
   | "eb" -> Ok Netlist.Eb
   | "eb0" -> Ok Netlist.Eb0
   | s -> Error (Fmt.str "unknown buffer kind %S (eb or eb0)" s)
+
+let int_arg what v =
+  match int_of_string_opt v with
+  | Some i -> Ok i
+  | None -> Error (Fmt.str "%s must be an integer, got %S" what v)
+
+(* Raised by a command handler on arguments it does not accept; the
+   dispatcher answers with the command's synopses from the table. *)
+exception Usage
+
+let usage () = raise Usage
+
+(* An optional trailing integer argument ([cycles], [window], [every],
+   [capacity], [n], [port]): its name in error messages, its default and
+   its lower bound. *)
+type opt = { name : string; default : int; min : int }
+
+let cycles_opt default = { name = "cycles"; default; min = 0 }
+
+let count_opt default = { name = "count"; default; min = 0 }
+
+let positive name default = { name; default; min = 1 }
+
+let bounded o v =
+  let* i = int_arg o.name v in
+  if i < o.min then Error (Fmt.str "%s must be >= %d" o.name o.min)
+  else Ok i
+
+(* Zero or one optional integer; more words are a usage error. *)
+let opt_int o = function
+  | [] -> Ok o.default
+  | [ v ] -> bounded o v
+  | _ -> usage ()
+
+let opt_int2 o1 o2 = function
+  | [] -> Ok (o1.default, o2.default)
+  | v :: rest ->
+    let* a = bounded o1 v in
+    let* b = opt_int o2 rest in
+    Ok (a, b)
+
+let port name p =
+  if p < 0 || p > 65535 then
+    Error (Fmt.str "%s must be in 0..65535 (0 picks an ephemeral port)" name)
+  else Ok p
+
+let diag r = Result.map_error Diagnostic.to_string r
+
+let write_file file text =
+  let oc = open_out file in
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
+      output_string oc text)
 
 let with_net s f =
   match s.net with
@@ -277,79 +172,80 @@ let with_net s f =
 (* Apply a transformation: push the old design on the undo stack. *)
 let transform s f =
   with_net s (fun net ->
-      match f net with
-      | Ok (net', msg) ->
-        s.undo <- net :: s.undo;
-        s.redo <- [];
-        s.net <- Some net';
-        Ok msg
-      | Error m -> Error m)
+      let* net', msg = f net in
+      s.undo <- net :: s.undo;
+      s.redo <- [];
+      s.net <- Some net';
+      Ok msg)
 
-let catch f =
-  try f () with
-  | Invalid_argument m | Failure m -> Error m
-  | Diagnostic.Reject d -> Error (Diagnostic.to_string d)
+(* Make [net] the session's design, with an empty history. *)
+let install s name net =
+  s.net <- Some net;
+  s.design <- name;
+  s.undo <- [];
+  s.redo <- []
 
-(* Engines for simulation commands are created fresh per invocation, so
-   every report (including [profile]) covers exactly one window.  When
-   [trace on] is in effect a tracer rides along on the observer hook and
-   is kept for [trace dump] and error reports. *)
-let sim_engine s net =
-  let eng = Elastic_sim.Engine.create ~mode:s.eval_mode net in
-  (match s.trace_capacity with
-   | None -> ()
-   | Some capacity ->
-     s.tracer <- Some (Elastic_trace.Tracer.attach ~capacity eng));
+(* Every simulation command runs a fresh engine (so each report,
+   [profile] included, covers exactly one window) through [simulate].
+   The engine's single observer slot carries a tracer — under [trace on],
+   or with [trace_capacity] when the command reads the events itself —
+   followed by the command's own [observers] (metrics sampler, VCD
+   recorder).  The tracer is kept for [trace dump] and error reports. *)
+let simulate ?trace_capacity ?(observers = []) s eng cycles =
+  let tracer =
+    match trace_capacity, s.trace_capacity with
+    | Some capacity, _ | None, Some capacity ->
+      let tr = Elastic_trace.Tracer.create ~capacity eng in
+      s.tracer <- Some tr;
+      [ Elastic_trace.Tracer.observe tr ]
+    | None, None -> []
+  in
+  (match tracer @ observers with
+   | [] -> ()
+   | fs ->
+     Elastic_sim.Engine.set_observer eng
+       (Some (fun e -> List.iter (fun f -> f e) fs)));
+  Elastic_sim.Engine.run eng cycles
+
+(* A fresh engine simulated for [cycles] with only the session's
+   observers. *)
+let simulated s net cycles =
+  let eng = Elastic_sim.Engine.create net in
+  simulate s eng cycles;
   eng
 
 module Metr = Elastic_metrics
 
-(* Simulate [cycles] with a metrics sampler attached, composing with a
-   tracer when [trace on] is in effect (single observer slot). *)
-let sampled_run s net ?window ?on_window cycles =
-  let eng = Elastic_sim.Engine.create ~mode:s.eval_mode net in
-  let sampler = Metr.Sampler.create ?window ?on_window eng in
-  let tr =
-    match s.trace_capacity with
-    | None -> None
-    | Some capacity ->
-      let tr = Elastic_trace.Tracer.create ~capacity eng in
-      s.tracer <- Some tr;
-      Some tr
-  in
-  Elastic_sim.Engine.set_observer eng
-    (Some
-       (fun e ->
-          (match tr with
-           | None -> ()
-           | Some tr -> Elastic_trace.Tracer.observe tr e);
-          Metr.Sampler.observe sampler e));
-  Elastic_sim.Engine.run eng cycles;
-  (eng, sampler)
+let sinks net =
+  List.filter
+    (fun (n : Netlist.node) ->
+       match n.Netlist.kind with Netlist.Sink _ -> true | _ -> false)
+    (Netlist.nodes net)
 
 (* One dashboard frame: headline rates from the engine, replay-penalty
-   quantiles from the metrics snapshot. *)
-let watch_frame net eng samples cyc =
+   quantiles from the metrics snapshot.  The observer runs before the
+   engine's cycle counter advances, so rates divide by the frame's own
+   cycle count, not by [Engine.cycle]. *)
+let watch_frame net eng (r : Metr.Sampler.row) =
+  let module Stats = Elastic_sim.Stats in
+  let cyc = r.Metr.Sampler.r_cycle in
+  let st = Stats.collect eng in
   let b = Buffer.create 256 in
   let line fmt = Fmt.kstr (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
   line "-- cycle %d %s" cyc (String.make (max 1 (40 - 12)) '-');
   List.iter
     (fun (n : Netlist.node) ->
-       match n.Netlist.kind with
-       | Netlist.Sink _ ->
-         line "  sink %-12s %.3f tok/cyc (%d transfers)" n.Netlist.name
-           (Elastic_sim.Engine.throughput eng n.Netlist.id)
-           (Elastic_kernel.Transfer.length
-              (Elastic_sim.Engine.sink_stream eng n.Netlist.id))
-       | Netlist.Source _ | Netlist.Buffer _ | Netlist.Func _
-       | Netlist.Fork _ | Netlist.Mux _ | Netlist.Shared _
-       | Netlist.Varlat _ -> ())
-    (Netlist.nodes net);
+       let transfers =
+         Transfer.length (Elastic_sim.Engine.sink_stream eng n.Netlist.id)
+       in
+       line "  sink %-12s %.3f tok/cyc (%d transfers)" n.Netlist.name
+         (float_of_int transfers /. float_of_int cyc)
+         transfers)
+    (sinks net);
   List.iter
-    (fun (nid, sched) ->
-       let name = (Netlist.node net nid).Netlist.name in
-       let serves = Scheduler.serves sched in
-       let mispred = Scheduler.mispredictions sched in
+    (fun (sc : Stats.scheduler_stats) ->
+       let serves = sc.Stats.ss_serves in
+       let mispred = sc.Stats.ss_mispredictions in
        let accuracy =
          if serves = 0 then 1.0
          else
@@ -358,8 +254,8 @@ let watch_frame net eng samples cyc =
        in
        let penalty =
          match
-           Metr.Metrics.find samples
-             ~labels:[ ("node", name) ]
+           Metr.Metrics.find r.Metr.Sampler.r_samples
+             ~labels:[ ("node", sc.Stats.ss_name) ]
              "elastic_sched_replay_penalty_cycles"
          with
          | Some (Metr.Metrics.Histogram h)
@@ -369,51 +265,36 @@ let watch_frame net eng samples cyc =
              (Metr.Histogram.s_quantile h 0.99)
          | _ -> "no replays"
        in
-       line "  sched %-11s accuracy %.2f  serves %d  squashes %d  %s" name
-         accuracy serves mispred penalty)
-    (Elastic_sim.Engine.schedulers eng);
-  let stalled =
-    List.filter_map
-      (fun (c : Netlist.channel) ->
-         let valid, retry, _ =
-           Elastic_sim.Engine.activity eng c.Netlist.ch_id
-         in
-         if retry = 0 then None
-         else
-           Some
-             (c.Netlist.ch_name,
-              float_of_int retry /. float_of_int (max valid 1)))
-      (Netlist.channels net)
-    |> List.sort (fun (_, a) (_, b) -> Float.compare b a)
-    |> List.filteri (fun i _ -> i < 3)
-  in
-  (match stalled with
+       line "  sched %-11s accuracy %.2f  serves %d  squashes %d  %s"
+         sc.Stats.ss_name accuracy serves mispred penalty)
+    st.Stats.schedulers;
+  (match
+     Stats.most_stalled st
+     |> List.filter (fun (c : Stats.channel_stats) ->
+         c.Stats.cs_retry_cycles > 0)
+     |> List.filteri (fun i _ -> i < 3)
+   with
    | [] -> line "  stalls: none"
    | l ->
      line "  stalls: %s"
        (String.concat "  "
-          (List.map (fun (n, r) -> Fmt.str "%s %.3f" n r) l)));
+          (List.map
+             (fun (c : Stats.channel_stats) ->
+                Fmt.str "%s %.3f" c.Stats.cs_name c.Stats.cs_stall_ratio)
+             l)));
   line "  stored tokens: %d" (Elastic_sim.Engine.stored_tokens eng);
   Buffer.contents b
 
 let throughput_report s net cycles =
-  let eng = sim_engine s net in
-  Elastic_sim.Engine.run eng cycles;
+  let eng = simulated s net cycles in
   let sinks =
-    List.filter_map
+    List.map
       (fun (n : Netlist.node) ->
-         match n.Netlist.kind with
-         | Netlist.Sink _ ->
-           Some
-             (Fmt.str "  %s: %.3f tokens/cycle (%d transfers)"
-                n.Netlist.name
-                (Elastic_sim.Engine.throughput eng n.Netlist.id)
-                (Transfer.length
-                   (Elastic_sim.Engine.sink_stream eng n.Netlist.id)))
-         | Netlist.Source _ | Netlist.Buffer _ | Netlist.Func _
-         | Netlist.Fork _ | Netlist.Mux _ | Netlist.Shared _
-         | Netlist.Varlat _ -> None)
-      (Netlist.nodes net)
+         Fmt.str "  %s: %.3f tokens/cycle (%d transfers)" n.Netlist.name
+           (Elastic_sim.Engine.throughput eng n.Netlist.id)
+           (Transfer.length
+              (Elastic_sim.Engine.sink_stream eng n.Netlist.id)))
+      (sinks net)
   in
   let violations = Elastic_sim.Engine.violations eng in
   let extra =
@@ -426,6 +307,50 @@ let throughput_report s net cycles =
   in
   String.concat "\n"
     ((Fmt.str "simulated %d cycles" cycles :: sinks) @ extra)
+
+(* Table-1-style trace: one row per channel, one cell per cycle. *)
+let trace_table s net cycles =
+  let cell (sg : Signal.t) =
+    if sg.Signal.v_minus then "  -"
+    else if sg.Signal.v_plus then
+      (match sg.Signal.data with
+       | Some v ->
+         let t = Value.to_string v in
+         if String.length t > 3 then " " ^ String.sub t 0 2
+         else Fmt.str "%3s" t
+       | None -> "  ?")
+    else "  *"
+  in
+  let rows =
+    List.map (fun (c : Netlist.channel) -> (c, ref [])) (Netlist.channels net)
+  in
+  let record eng =
+    List.iter
+      (fun ((c : Netlist.channel), cells) ->
+         let sg = Elastic_sim.Engine.signal eng c.Netlist.ch_id in
+         cells := cell sg :: !cells)
+      rows
+  in
+  simulate s (Elastic_sim.Engine.create net) ~observers:[ record ] cycles;
+  String.concat "\n"
+    (List.map
+       (fun ((c : Netlist.channel), cells) ->
+          Fmt.str "%-30s%s" c.Netlist.ch_name
+            (String.concat "" (List.rev !cells)))
+       rows)
+
+(* Simulate with a metrics sampler and render its final snapshot. *)
+let prometheus s net cycles =
+  let eng = Elastic_sim.Engine.create net in
+  let sampler = Metr.Sampler.create eng in
+  simulate s eng ~observers:[ Metr.Sampler.observe sampler ] cycles;
+  Metr.Prometheus.render (Metr.Sampler.sample sampler eng)
+
+(* Simulate with a windowed metrics sampler calling [on_window]. *)
+let windowed s net ~window ~on_window cycles =
+  let eng = Elastic_sim.Engine.create net in
+  let sampler = Metr.Sampler.create ~window ~on_window:(on_window eng) eng in
+  simulate s eng ~observers:[ Metr.Sampler.observe sampler ] cycles
 
 (* Sinks named "alarm" are error detectors by convention (see
    [Examples.rs_speculative_alarmed]): a delivered value >= 2 counts as
@@ -441,53 +366,32 @@ let alarms_of net =
        | _ -> None)
     (Netlist.nodes net)
 
-let int_arg what v =
-  match int_of_string_opt v with
-  | Some i -> Ok i
-  | None -> Error (Fmt.str "%s must be an integer, got %S" what v)
-
-let inject_usage =
-  "usage: inject <channel> flip <cycle> <bit> | inject <channel> \
-   drop|dup|glitch <cycle> | inject <channel> stall <cycle> [duration] | \
-   inject <node> mispredict <cycle> <way>"
-
 let inject_cmd net target kind rest =
   let open Elastic_fault in
-  let ( let* ) = Result.bind in
   let* faults =
     match kind, rest with
-    | "flip", [ cy; bit ] ->
-      let* channel = channel_arg net target in
-      let* cycle = int_arg "cycle" cy in
-      let* bit = int_arg "bit" bit in
-      Ok [ Fault.flip_bit ~channel ~cycle bit ]
-    | "drop", [ cy ] ->
-      let* channel = channel_arg net target in
-      let* cycle = int_arg "cycle" cy in
-      Ok [ Fault.drop_token ~channel ~cycle ]
-    | "dup", [ cy ] ->
-      let* channel = channel_arg net target in
-      let* cycle = int_arg "cycle" cy in
-      Ok [ Fault.duplicate_token ~channel ~cycle ]
-    | "glitch", [ cy ] ->
-      let* channel = channel_arg net target in
-      let* cycle = int_arg "cycle" cy in
-      Ok (Fault.control_glitch ~channel ~cycle)
-    | "stall", ([ _ ] | [ _; _ ]) ->
-      let* channel = channel_arg net target in
-      let* cycle = int_arg "cycle" (List.hd rest) in
-      let* duration =
-        match rest with
-        | [ _; d ] -> int_arg "duration" d
-        | _ -> Ok 1
-      in
-      Ok [ Fault.stuck_stall ~channel ~cycle ~duration ]
     | "mispredict", [ cy; way ] ->
       let* node = node_arg net target in
       let* cycle = int_arg "cycle" cy in
       let* way = int_arg "way" way in
       Ok [ Fault.mispredict ~node ~cycle way ]
-    | _ -> Error inject_usage
+    | ("flip" | "drop" | "dup" | "glitch" | "stall"), cy :: args -> (
+        let* channel = channel_arg net target in
+        let* cycle = int_arg "cycle" cy in
+        match kind, args with
+        | "flip", [ bit ] ->
+          let* bit = int_arg "bit" bit in
+          Ok [ Fault.flip_bit ~channel ~cycle bit ]
+        | "drop", [] -> Ok [ Fault.drop_token ~channel ~cycle ]
+        | "dup", [] -> Ok [ Fault.duplicate_token ~channel ~cycle ]
+        | "glitch", [] -> Ok (Fault.control_glitch ~channel ~cycle)
+        | "stall", dur ->
+          let* duration =
+            opt_int { name = "duration"; default = 1; min = 0 } dur
+          in
+          Ok [ Fault.stuck_stall ~channel ~cycle ~duration ]
+        | _ -> usage ())
+    | _ -> usage ()
   in
   let report =
     Recovery.check ~cycles:300 ~settle:60 ~alarms:(alarms_of net) net
@@ -522,31 +426,20 @@ let campaign_summary net summary =
   String.concat "\n"
     ((Fmt.str "%a" Campaign.pp_summary summary :: detail) @ more)
 
-let campaign_usage =
-  "usage: campaign flips <channel> <count> <seed> [cycles] | campaign \
-   storm <count> <seed> [cycles] — append --par <workers> \
-   [--checkpoint <file>] [--serve <port>] to shard under the \
-   supervised runner (with live telemetry)"
-
 (* Split "campaign flips a 20 7 --par 4 --checkpoint f --serve 0" into
    the positional arguments and the runner options (options may appear
    in any order after the positionals they follow). *)
 let campaign_options rest =
-  let ( let* ) = Result.bind in
   let rec split pos par ckpt serve = function
     | [] -> Ok (List.rev pos, par, ckpt, serve)
     | "--par" :: n :: tail ->
-      let* p = int_arg "--par" n in
-      if p < 1 then Error "--par must be >= 1"
-      else split pos (Some p) ckpt serve tail
+      let* p = bounded (positive "--par" 1) n in
+      split pos (Some p) ckpt serve tail
     | "--checkpoint" :: f :: tail -> split pos par (Some f) serve tail
     | "--serve" :: p :: tail ->
-      let* port = int_arg "--serve" p in
-      if port < 0 || port > 65535 then
-        Error "--serve port must be in 0..65535 (0 picks an ephemeral \
-               port)"
-      else split pos par ckpt (Some port) tail
-    | ("--par" | "--checkpoint" | "--serve") :: [] -> Error campaign_usage
+      let* port = Result.bind (int_arg "--serve" p) (port "--serve port") in
+      split pos par ckpt (Some port) tail
+    | [ ("--par" | "--checkpoint" | "--serve") ] -> usage ()
     | w :: tail -> split (w :: pos) par ckpt serve tail
   in
   split [] None None None rest
@@ -559,7 +452,6 @@ let campaign_par_run s net ~kind ~rest ~par ~ckpt ~serve ~cycles scenarios =
   let module Runner = Elastic_runner.Runner in
   let module Workload = Elastic_runner.Workload in
   let module Telemetry = Elastic_telemetry.Telemetry in
-  let ( let* ) = Result.bind in
   let name = Fmt.str "campaign-%s" kind in
   let command = String.concat " " ("campaign" :: kind :: rest) in
   let resume = s.pending_resume in
@@ -585,28 +477,25 @@ let campaign_par_run s net ~kind ~rest ~par ~ckpt ~serve ~cycles scenarios =
            "telemetry server already on port %d — drop --serve (the \
             campaign publishes there) or serve stop first"
            (Option.value ~default:0 (Telemetry.port hub)))
-    | Some port, None -> (
-        let hub = Telemetry.create () in
-        match Telemetry.start ~port hub with
-        | Ok _ -> Ok (Some hub, true)
-        | Error m -> Error m)
+    | Some port, None ->
+      let hub = Telemetry.create () in
+      let* _ = Telemetry.start ~port hub in
+      Ok (Some hub, true)
     | None, Some hub -> Ok (Some hub, false)
     | None, None -> Ok (None, false)
   in
   let progress =
-    match hub with
-    | None -> None
-    | Some hub ->
-      let ids =
-        Array.of_list
-          (List.map (fun (t : Runner.task) -> t.Runner.id) tasks)
-      in
-      let p = Elastic_runner.Progress.create ~name ~ids () in
-      Telemetry.set_progress hub (Some p);
-      (match obs with
-       | Some c -> Telemetry.set_collector hub (Some c)
-       | None -> ());
-      Some p
+    Option.map
+      (fun hub ->
+         let ids =
+           Array.of_list
+             (List.map (fun (t : Runner.task) -> t.Runner.id) tasks)
+         in
+         let p = Elastic_runner.Progress.create ~name ~ids () in
+         Telemetry.set_progress hub (Some p);
+         Option.iter (fun c -> Telemetry.set_collector hub (Some c)) obs;
+         p)
+      hub
   in
   let serve_lines =
     match hub with
@@ -659,33 +548,27 @@ let campaign_par_run s net ~kind ~rest ~par ~ckpt ~serve ~cycles scenarios =
 
 let campaign_cmd s net kind rest =
   let open Elastic_fault in
-  let ( let* ) = Result.bind in
-  let usage = campaign_usage in
   let* positional, par, ckpt, serve = campaign_options rest in
   let* scenarios, cycles =
     match kind, positional with
-    | "flips", (ch :: cnt :: seed :: tail) when List.length tail <= 1 ->
+    | "flips", ch :: cnt :: seed :: tail ->
       let* channel = channel_arg net ch in
       let* count = int_arg "count" cnt in
       let* seed = int_arg "seed" seed in
-      let* cycles =
-        match tail with [ c ] -> int_arg "cycles" c | _ -> Ok 300
-      in
+      let* cycles = opt_int (cycles_opt 300) tail in
       Ok
         (Campaign.random_bitflips ~net ~channel ~seed ~count ~from_cycle:2
            ~to_cycle:(max 3 (cycles / 2)) (),
          cycles)
-    | "storm", (cnt :: seed :: tail) when List.length tail <= 1 ->
+    | "storm", cnt :: seed :: tail ->
       let* count = int_arg "count" cnt in
       let* seed = int_arg "seed" seed in
-      let* cycles =
-        match tail with [ c ] -> int_arg "cycles" c | _ -> Ok 300
-      in
+      let* cycles = opt_int (cycles_opt 300) tail in
       Ok
         (Campaign.random_storm ~net ~seed ~count ~from_cycle:2
            ~to_cycle:(max 3 (cycles / 2)),
          cycles)
-    | _ -> Error usage
+    | _ -> usage ()
   in
   match par with
   | Some par ->
@@ -701,868 +584,832 @@ let campaign_cmd s net kind rest =
     in
     Ok (campaign_summary net summary)
 
-let rec execute_cmd s line =
-  let words =
-    String.split_on_char ' ' (String.trim line)
-    |> List.filter (fun w -> w <> "")
+(* A ring's last entries under a header with its drop accounting. *)
+let last_recorded what pp ~recorded ~dropped items =
+  String.concat "\n"
+    (Fmt.str "%d %s recorded (%d dropped), last %d:" recorded what dropped
+       (List.length items)
+     :: List.map (Fmt.str "  %a" pp) items)
+
+let recorded_spans s =
+  Option.to_result s.collector
+    ~none:"no spans recorded (use: spans on, then campaign ... --par)"
+
+let lint_verdict report =
+  let text = Elastic_lint.Lint.render report in
+  (* Error findings fail the command, so scripts (and the CI lint gate)
+     exit nonzero on a broken design. *)
+  if Elastic_lint.Lint.clean report then Ok text else Error text
+
+let load_checkpoint file =
+  Result.map_error (Fmt.str "%s: %s" file)
+    (Elastic_runner.Checkpoint.load file)
+
+(* One shell command: the word it dispatches on, its lines of the help
+   text (verbatim; empty when a neighbour's lines document the word too)
+   and its handler, which receives the remaining words. *)
+type command = {
+  word : string;
+  help : string;
+  run : session -> string list -> (string, string) result;
+}
+
+(* Handler shapes shared by many commands. *)
+let on_net f s args = with_net s (fun net -> f s net args)
+
+let query f = on_net (fun _ net -> function [] -> f net | _ -> usage ())
+
+let on_one_arg f s = function [ a ] -> f s a | _ -> usage ()
+
+let on_two_args f s = function [ a; b ] -> f s a b | _ -> usage ()
+
+(* A transformation of the node named by the sole argument. *)
+let on_node f =
+  on_one_arg (fun s a ->
+      transform s (fun net ->
+          let* id = node_arg net a in
+          f net id))
+
+(* A simulation command whose only argument is an optional [cycles]. *)
+let on_cycles default f =
+  on_net (fun s net args ->
+      let* cycles = opt_int (cycles_opt default) args in
+      f s net cycles)
+
+let export save =
+  on_net (fun _ net -> function
+    | [ file ] ->
+      save file net;
+      Ok (Fmt.str "wrote %s" file)
+    | _ -> usage ())
+
+let no_args f _ = function [] -> f () | _ -> usage ()
+
+let bye = no_args (fun () -> Ok "bye")
+
+(* The synopsis column of a help line ("vcd <file> [cycles]"), or [None]
+   for a continuation line. *)
+let synopsis line =
+  let rec upto = function "" :: _ | [] -> [] | w :: ws -> w :: upto ws in
+  match String.split_on_char ' ' line with
+  | "" :: "" :: (w :: _ as words) when w <> "" ->
+    Some (String.concat " " (upto words))
+  | _ -> None
+
+(* A command's usage error lists the synopses of its help lines; a word
+   without lines of its own borrows its neighbour's (open, redo, exit). *)
+let usage_of table word =
+  let rec find last = function
+    | [] -> last
+    | c :: rest ->
+      let own = List.filter_map synopsis (String.split_on_char '\n' c.help) in
+      let syn = if own = [] then last else own in
+      if String.equal c.word word then syn else find syn rest
   in
-  match words with
-  | [] | "#" :: _ -> Ok ""
-  | [ "help" ] -> Ok help
-  | [ "mode" ] ->
-    Ok
-      (Printf.sprintf "mode: %s" (Elastic_sim.Engine.mode_name s.eval_mode))
-  | [ "mode"; name ] -> (
-      match Elastic_sim.Engine.mode_of_string name with
-      | Some m ->
-        s.eval_mode <- m;
-        Ok (Printf.sprintf "mode set to %s" (Elastic_sim.Engine.mode_name m))
-      | None ->
-        Error
-          (Printf.sprintf
-             "unknown mode %S (expected arena or reference)" name))
-  | [ "load"; name ] -> (
-      match List.assoc_opt name designs with
-      | Some mk ->
-        catch (fun () ->
-            s.net <- Some (mk ());
-            s.design <- name;
-            s.undo <- [];
-            s.redo <- [];
-            Ok (Fmt.str "loaded %s" name))
-      | None ->
-        Error
-          (Fmt.str "unknown design %S (available: %s)" name
-             (String.concat ", " (List.map fst designs))))
-  | [ "show" ] -> with_net s (fun net -> Ok (Fmt.str "%a" Netlist.pp net))
-  | [ "candidates" ] ->
-    with_net s (fun net ->
-        match Speculation.candidates net with
-        | [] -> Ok "no speculation candidates"
-        | cs ->
-          Ok
-            (String.concat "\n"
-               (List.map (Fmt.str "  %a" Speculation.pp_candidate) cs)))
-  | [ "bubble"; ch ] ->
-    transform s (fun net ->
-        match channel_arg net ch with
-        | Error m -> Error m
-        | Ok channel ->
-          catch (fun () ->
-              let net', b = Transform.insert_bubble net ~channel in
-              Ok (net', Fmt.str "inserted bubble node %d" b)))
-  | [ "buffer"; ch; kind ] ->
-    transform s (fun net ->
-        match channel_arg net ch, buffer_kind_arg kind with
-        | Error m, _ | _, Error m -> Error m
-        | Ok channel, Ok buffer ->
-          catch (fun () ->
-              let net', b =
-                Transform.insert_buffer net ~channel ~buffer ~init:[]
-              in
-              Ok (net', Fmt.str "inserted %s node %d" kind b)))
-  | [ "remove-buffer"; node ] ->
-    transform s (fun net ->
-        match node_arg net node with
-        | Error m -> Error m
-        | Ok b ->
-          catch (fun () -> Ok (Transform.remove_buffer net b, "removed")))
-  | [ "convert"; node; kind ] ->
-    transform s (fun net ->
-        match node_arg net node, buffer_kind_arg kind with
-        | Error m, _ | _, Error m -> Error m
-        | Ok b, Ok buffer ->
-          catch (fun () ->
-              Ok (Transform.convert_buffer net b buffer,
-                  Fmt.str "converted node %d to %s" b kind)))
-  | [ "retime-fwd"; node ] ->
-    transform s (fun net ->
-        match node_arg net node with
-        | Error m -> Error m
-        | Ok f ->
-          catch (fun () ->
+  "usage: " ^ String.concat " | " (find [] table)
+
+let help_of table =
+  String.concat "\n"
+    ("Commands (the paper's exploration toolkit):"
+     :: List.filter (fun h -> h <> "") (List.map (fun c -> c.help) table))
+
+let rec table =
+  lazy
+    [ { word = "load";
+        help =
+          {|  load <design>            load a predefined design:
+                           fig1a fig1b fig1c fig1d table1
+                           vl-stalling vl-speculative rs-nonspec rs-spec
+                           rs-alarmed|};
+        run =
+          on_one_arg (fun s name ->
+              let* build = design_arg name in
+              install s name (build ());
+              Ok (Fmt.str "loaded %s" name)) };
+      { word = "show";
+        help = {|  show                     print nodes and channels|};
+        run = query (fun net -> Ok (Fmt.str "%a" Netlist.pp net)) };
+      { word = "candidates";
+        help =
+          {|  candidates               list speculation candidates (critical cycles
+                           through a multiplexor select)|};
+        run =
+          query (fun net ->
+              match Speculation.candidates net with
+              | [] -> Ok "no speculation candidates"
+              | cs ->
+                Ok
+                  (String.concat "\n"
+                     (List.map (Fmt.str "  %a" Speculation.pp_candidate) cs)))
+      };
+      { word = "bubble";
+        help = {|  bubble <channel>         insert an empty EB on a channel|};
+        run =
+          on_one_arg (fun s ch ->
+              transform s (fun net ->
+                  let* channel = channel_arg net ch in
+                  let net', b = Transform.insert_bubble net ~channel in
+                  Ok (net', Fmt.str "inserted bubble node %d" b))) };
+      { word = "buffer";
+        help = {|  buffer <channel> eb|eb0  insert a buffer of the given kind|};
+        run =
+          on_two_args (fun s ch kind ->
+              transform s (fun net ->
+                  let* channel = channel_arg net ch in
+                  let* buffer = buffer_kind_arg kind in
+                  let net', b =
+                    Transform.insert_buffer net ~channel ~buffer ~init:[]
+                  in
+                  Ok (net', Fmt.str "inserted %s node %d" kind b))) };
+      { word = "remove-buffer";
+        help = {|  remove-buffer <node>     splice an empty buffer out|};
+        run =
+          on_node (fun net b -> Ok (Transform.remove_buffer net b, "removed"))
+      };
+      { word = "convert";
+        help = {|  convert <node> eb|eb0    change a buffer implementation (Fig. 5)|};
+        run =
+          on_two_args (fun s node kind ->
+              transform s (fun net ->
+                  let* b = node_arg net node in
+                  let* buffer = buffer_kind_arg kind in
+                  Ok (Transform.convert_buffer net b buffer,
+                      Fmt.str "converted node %d to %s" b kind))) };
+      { word = "fifo";
+        help = {|  fifo <channel> <depth>   insert a chain of empty EBs|};
+        run =
+          on_two_args (fun s ch depth ->
+              transform s (fun net ->
+                  let* channel = channel_arg net ch in
+                  let* depth = int_arg "depth" depth in
+                  let net', bs = Transform.insert_fifo net ~channel ~depth in
+                  Ok (net', Fmt.str "inserted %d buffers" (List.length bs)))) };
+      { word = "retime-fwd";
+        help = {|  retime-fwd <node>        move input-buffer tokens across a block|};
+        run =
+          on_node (fun net f ->
               let net', b = Transform.retime_forward net ~through:f in
-              Ok (net', Fmt.str "moved tokens to new buffer %d" b)))
-  | [ "retime-bwd"; node ] ->
-    transform s (fun net ->
-        match node_arg net node with
-        | Error m -> Error m
-        | Ok f ->
-          catch (fun () ->
+              Ok (net', Fmt.str "moved tokens to new buffer %d" b)) };
+      { word = "retime-bwd";
+        help = {|  retime-bwd <node>        move an empty output buffer to the inputs|};
+        run =
+          on_node (fun net f ->
               let net', bs = Transform.retime_backward net ~through:f in
               Ok
                 (net',
                  Fmt.str "moved empty buffer to inputs [%a]"
                    Fmt.(list ~sep:comma int)
-                   bs)))
-  | [ "fifo"; ch; depth ] ->
-    transform s (fun net ->
-        match channel_arg net ch, int_of_string_opt depth with
-        | Error m, _ -> Error m
-        | _, None -> Error "usage: fifo <channel> <depth>"
-        | Ok channel, Some depth ->
-          catch (fun () ->
-              let net', bs = Transform.insert_fifo net ~channel ~depth in
-              Ok (net', Fmt.str "inserted %d buffers" (List.length bs))))
-  | [ "shannon"; mux ] ->
-    transform s (fun net ->
-        match node_arg net mux with
-        | Error m -> Error m
-        | Ok mux ->
-          catch (fun () ->
+                   bs)) };
+      { word = "shannon";
+        help = {|  shannon <mux>            Shannon decomposition of the block after <mux>|};
+        run =
+          on_node (fun net mux ->
               let net', copies = Transform.shannon net ~mux in
               Ok
                 (net',
                  Fmt.str "duplicated the block into nodes [%a]"
                    Fmt.(list ~sep:comma int)
-                   copies)))
-  | [ "early"; mux ] ->
-    transform s (fun net ->
-        match node_arg net mux with
-        | Error m -> Error m
-        | Ok mux ->
-          catch (fun () ->
-              Ok (Transform.early_evaluation net ~mux, "early evaluation on")))
-  | "share" :: n1 :: n2 :: rest ->
-    transform s (fun net ->
-        let sched =
-          match rest with
-          | [] -> Ok Scheduler.Sticky
-          | [ sc ] -> (
-              match sched_of_string sc with
-              | Some sp -> Ok sp
-              | None -> Error (Fmt.str "unknown scheduler %S" sc))
-          | _ -> Error "usage: share <n1> <n2> [sched]"
-        in
-        match node_arg net n1, node_arg net n2, sched with
-        | Error m, _, _ | _, Error m, _ | _, _, Error m -> Error m
-        | Ok a, Ok b, Ok sched ->
-          catch (fun () ->
-              let net', sh = Transform.share net ~blocks:[ a; b ] ~sched in
-              Ok (net', Fmt.str "shared into node %d" sh)))
-  | "speculate" :: rest ->
-    transform s (fun net ->
-        let mux, sched =
-          match rest with
-          | [] -> (None, Scheduler.Sticky)
-          | [ m ] -> (
-              match sched_of_string m with
-              | Some sp -> (None, sp)
-              | None -> (Some m, Scheduler.Sticky))
-          | [ m; sc ] ->
-            (Some m,
-             Option.value (sched_of_string sc) ~default:Scheduler.Sticky)
-          | _ -> (None, Scheduler.Sticky)
-        in
-        catch (fun () ->
-            let r =
-              match mux with
-              | None -> Speculation.speculate_auto net ~sched
-              | Some m -> (
-                  match node_arg net m with
-                  | Ok mux -> Speculation.speculate net ~mux ~sched
-                  | Error msg -> invalid_arg msg)
-            in
-            Ok
-              (r.Speculation.net,
-               Fmt.str "speculation applied: shared module %d, mux %d"
-                 r.Speculation.shared r.Speculation.mux)))
-  | "stats" :: rest ->
-    with_net s (fun net ->
-        let cycles =
-          match rest with
-          | [ n ] -> Option.value (int_of_string_opt n) ~default:200
-          | _ -> 200
-        in
-        catch (fun () ->
-            let eng = sim_engine s net in
-            Elastic_sim.Engine.run eng cycles;
-            Ok (Fmt.str "%a" Elastic_sim.Stats.pp
-                  (Elastic_sim.Stats.collect eng))))
-  | "profile" :: rest ->
-    with_net s (fun net ->
-        let cycles =
-          match rest with
-          | [ n ] -> Option.value (int_of_string_opt n) ~default:200
-          | _ -> 200
-        in
-        catch (fun () ->
-            let eng = sim_engine s net in
-            Elastic_sim.Engine.run eng cycles;
-            let names =
-              Array.of_list
-                (List.map
-                   (fun (n : Netlist.node) -> n.Netlist.name)
-                   (Netlist.nodes net))
-            in
-            (* The engine (and its profile) is fresh per invocation:
-               counters and wall clock cover this window only. *)
-            Ok
-              (Fmt.str "@[<v>window: this invocation only (%d cycles)@,\
-                        schedule: %a@,%a@]"
-                 cycles Elastic_sim.Schedule.pp_stats
-                 (Elastic_sim.Engine.schedule eng)
-                 (Elastic_sim.Profile.pp ~name:(fun i -> names.(i)))
-                 (Elastic_sim.Engine.profile eng))))
-  | "metrics" :: "prom" :: file :: rest ->
-    with_net s (fun net ->
-        let cycles =
-          match rest with
-          | [] -> Ok 200
-          | [ n ] -> int_arg "cycles" n
-          | _ -> Error "usage: metrics prom <file> [cycles]"
-        in
-        match cycles with
-        | Error m -> Error m
-        | Ok cycles ->
-          catch (fun () ->
-              let eng, sampler = sampled_run s net cycles in
-              let text =
-                Metr.Prometheus.render (Metr.Sampler.sample sampler eng)
-              in
-              let oc = open_out file in
-              output_string oc text;
-              close_out oc;
-              Ok (Fmt.str "wrote %s (%d cycles)" file cycles)))
-  | "metrics" :: "jsonl" :: file :: rest ->
-    with_net s (fun net ->
-        let args =
-          match rest with
-          | [] -> Ok (200, 50)
-          | [ n ] ->
-            Result.map (fun c -> (c, 50)) (int_arg "cycles" n)
-          | [ n; w ] ->
-            Result.bind (int_arg "cycles" n) (fun c ->
-                Result.map (fun w -> (c, w)) (int_arg "window" w))
-          | _ -> Error "usage: metrics jsonl <file> [cycles] [window]"
-        in
-        match args with
-        | Error m -> Error m
-        | Ok (_, w) when w < 1 -> Error "window must be >= 1"
-        | Ok (cycles, window) ->
-          catch (fun () ->
-              let buf = Buffer.create 4096 in
-              let rows = ref 0 in
-              let on_window r =
-                incr rows;
-                Buffer.add_string buf (Metr.Sampler.jsonl_of_row r);
-                Buffer.add_char buf '\n'
-              in
-              let _eng, _sampler =
-                sampled_run s net ~window ~on_window cycles
-              in
-              let oc = open_out file in
-              Buffer.output_buffer oc buf;
-              close_out oc;
+                   copies)) };
+      { word = "early";
+        help = {|  early <mux>              switch <mux> to early evaluation|};
+        run =
+          on_node (fun net mux ->
+              Ok (Transform.early_evaluation net ~mux, "early evaluation on"))
+      };
+      { word = "share";
+        help =
+          {|  share <n1> <n2> [sched]  share two identical blocks (sched: sticky,
+                           toggle, two-bit, round-robin, static0, static1)|};
+        run =
+          (fun s -> function
+            | n1 :: n2 :: rest ->
+              transform s (fun net ->
+                  let* a = node_arg net n1 in
+                  let* b = node_arg net n2 in
+                  let* sched =
+                    match rest with
+                    | [] -> Ok Scheduler.Sticky
+                    | [ sc ] -> sched_arg sc
+                    | _ -> usage ()
+                  in
+                  let net', sh = Transform.share net ~blocks:[ a; b ] ~sched in
+                  Ok (net', Fmt.str "shared into node %d" sh))
+            | _ -> usage ()) };
+      { word = "speculate";
+        help = {|  speculate [mux] [sched]  the full recipe of Section 4 (steps 2-4)|};
+        run =
+          (fun s args ->
+             transform s (fun net ->
+                 (* A lone argument is a scheduler if it names one, else
+                    the mux. *)
+                 let* mux, sched =
+                   match args with
+                   | [] -> Ok (None, Scheduler.Sticky)
+                   | [ m ] -> (
+                       match sched_arg m with
+                       | Ok sched -> Ok (None, sched)
+                       | Error _ -> Ok (Some m, Scheduler.Sticky))
+                   | [ m; sc ] ->
+                     let* sched = sched_arg sc in
+                     Ok (Some m, sched)
+                   | _ -> usage ()
+                 in
+                 let* r =
+                   match mux with
+                   | None -> Ok (Speculation.speculate_auto net ~sched)
+                   | Some m ->
+                     let* mux = node_arg net m in
+                     Ok (Speculation.speculate net ~mux ~sched)
+                 in
+                 Ok
+                   (r.Speculation.net,
+                    Fmt.str "speculation applied: shared module %d, mux %d"
+                      r.Speculation.shared r.Speculation.mux))) };
+      { word = "save";
+        help =
+          {|  save <file> / open <file>  netlist files (.enl); custom blocks must be
+                           registered with Library.register before open|};
+        run = export Serial.save };
+      { word = "open";
+        help = "";
+        run =
+          on_one_arg (fun s file ->
+              let* net = Serial.load file in
+              let name = Filename.remove_extension (Filename.basename file) in
+              install s name net;
+              Ok (Fmt.str "opened %s" file)) };
+      { word = "throughput";
+        help = {|  throughput [cycles]      simulate and report per-sink throughput|};
+        run =
+          on_cycles 200 (fun s net cycles ->
+              Ok (throughput_report s net cycles)) };
+      { word = "stats";
+        help = {|  stats [cycles]           per-channel utilization and stall ratios|};
+        run =
+          on_cycles 200 (fun s net cycles ->
               Ok
-                (Fmt.str "wrote %s (%d cycles, %d windows of %d)" file
-                   cycles !rows window)))
-  | "metrics" :: rest ->
-    with_net s (fun net ->
-        let cycles =
-          match rest with
-          | [] -> Ok 200
-          | [ n ] -> int_arg "cycles" n
-          | _ -> Error "usage: metrics [cycles]"
-        in
-        match cycles with
-        | Error m -> Error m
-        | Ok cycles ->
-          catch (fun () ->
-              let eng, sampler = sampled_run s net cycles in
+                (Fmt.str "%a" Elastic_sim.Stats.pp
+                   (Elastic_sim.Stats.collect (simulated s net cycles)))) };
+      { word = "trace";
+        help =
+          {|  trace [cycles]           Table-1-style trace of every channel
+  trace on [capacity]      record typed events (transfers, stalls, anti-
+                           tokens, predictions, squashes, replays) during
+                           subsequent simulation commands
+  trace off                stop recording (the last trace stays dumpable)
+  trace dump [n]           print the last n recorded events|};
+        run =
+          (fun s -> function
+            | "on" :: rest ->
+              let* capacity = opt_int (positive "capacity" 65536) rest in
+              s.trace_capacity <- Some capacity;
               Ok
-                (Fmt.str "# simulated %d cycles@.%s" cycles
-                   (Metr.Prometheus.render
-                      (Metr.Sampler.sample sampler eng)))))
-  | "watch" :: rest ->
-    with_net s (fun net ->
-        let args =
-          match rest with
-          | [] -> Ok (200, 50)
-          | [ n ] ->
-            Result.map (fun c -> (c, 50)) (int_arg "cycles" n)
-          | [ n; w ] ->
-            Result.bind (int_arg "cycles" n) (fun c ->
-                Result.map (fun w -> (c, w)) (int_arg "every" w))
-          | _ -> Error "usage: watch [cycles] [every]"
-        in
-        match args with
-        | Error m -> Error m
-        | Ok (_, every) when every < 1 -> Error "every must be >= 1"
-        | Ok (cycles, every) ->
-          catch (fun () ->
-              let frames = Buffer.create 1024 in
-              let eng_slot = ref None in
-              let on_window (r : Metr.Sampler.row) =
-                match !eng_slot with
-                | None -> ()
-                | Some eng ->
-                  Buffer.add_string frames
-                    (watch_frame net eng r.Metr.Sampler.r_samples
-                       r.Metr.Sampler.r_cycle)
-              in
-              let eng = Elastic_sim.Engine.create ~mode:s.eval_mode net in
-              eng_slot := Some eng;
-              let sampler =
-                Metr.Sampler.create ~window:every ~on_window eng
-              in
-              Elastic_sim.Engine.set_observer eng
-                (Some (Metr.Sampler.observe sampler));
-              Elastic_sim.Engine.run eng cycles;
-              Ok
-                (Fmt.str "%swatched %d cycles (frame every %d)"
-                   (Buffer.contents frames) cycles every)))
-  | "trace" :: "on" :: rest -> (
-      let capacity =
-        match rest with
-        | [] -> Ok 65536
-        | [ c ] -> int_arg "capacity" c
-        | _ -> Error "usage: trace on [capacity]"
-      in
-      match capacity with
-      | Error m -> Error m
-      | Ok c when c < 1 -> Error "capacity must be >= 1"
-      | Ok capacity ->
-        s.trace_capacity <- Some capacity;
-        Ok
-          (Fmt.str
-             "tracing on (ring capacity %d events); simulation commands \
-              now record events (dump with: trace dump)"
-             capacity))
-  | [ "trace"; "off" ] ->
-    s.trace_capacity <- None;
-    Ok "tracing off (the last recorded trace is still dumpable)"
-  | "trace" :: "dump" :: rest ->
-    with_net s (fun net ->
-        let limit =
-          match rest with
-          | [] -> Ok 40
-          | [ n ] -> int_arg "count" n
-          | _ -> Error "usage: trace dump [n]"
-        in
-        match limit, s.tracer with
-        | Error m, _ -> Error m
-        | Ok _, None ->
-          Error
-            "no trace recorded (use: trace on, then a simulation command \
-             such as throughput, stats or timeline)"
-        | Ok limit, Some tr ->
-          catch (fun () ->
-              let evs = Elastic_trace.Tracer.recent ~limit tr in
-              let head =
-                Fmt.str "%d events recorded (%d dropped), last %d:"
-                  (Elastic_trace.Tracer.recorded tr)
-                  (Elastic_trace.Tracer.dropped tr)
-                  (List.length evs)
-              in
-              Ok
-                (String.concat "\n"
-                   (head
-                    :: List.map
-                         (Fmt.str "  %a" (Elastic_trace.Event.pp net))
-                         evs))))
-  | "spans" :: "on" :: rest -> (
-      let capacity =
-        match rest with
-        | [] -> Ok 8192
-        | [ c ] -> int_arg "capacity" c
-        | _ -> Error "usage: spans on [capacity]"
-      in
-      match capacity with
-      | Error m -> Error m
-      | Ok c when c < 1 -> Error "capacity must be >= 1"
-      | Ok capacity ->
-        s.spans_capacity <- Some capacity;
-        Ok
-          (Fmt.str
-             "spans on (per-worker ring capacity %d); campaign --par \
-              runs now record a span ledger (dump with: spans dump)"
-             capacity))
-  | [ "spans"; "off" ] ->
-    s.spans_capacity <- None;
-    Ok "spans off (the last recorded ledger is still exportable)"
-  | "spans" :: "dump" :: rest -> (
-      let limit =
-        match rest with
-        | [] -> Ok 40
-        | [ n ] -> int_arg "count" n
-        | _ -> Error "usage: spans dump [n]"
-      in
-      match limit, s.collector with
-      | Error m, _ -> Error m
-      | Ok _, None ->
-        Error
-          "no spans recorded (use: spans on, then campaign ... --par)"
-      | Ok limit, Some c ->
-        catch (fun () ->
-            let spans = Elastic_obs.Collector.spans c in
-            let total = List.length spans in
-            let skip = max 0 (total - limit) in
-            let tail = List.filteri (fun i _ -> i >= skip) spans in
-            let base_ns = Elastic_obs.Export.base_ns spans in
-            let head =
-              Fmt.str "%d spans recorded (%d dropped), last %d:"
-                (Elastic_obs.Collector.recorded c)
-                (Elastic_obs.Collector.dropped c)
-                (List.length tail)
-            in
-            Ok
-              (String.concat "\n"
-                 (head
-                  :: List.map
-                       (Fmt.str "  %a" (Elastic_obs.Span.pp ~base_ns))
-                       tail))))
-  | [ "spans"; ("jsonl" | "chrome" | "folded") as fmt; file ] -> (
-      match s.collector with
-      | None ->
-        Error
-          "no spans recorded (use: spans on, then campaign ... --par)"
-      | Some c ->
-        catch (fun () ->
-            let spans = Elastic_obs.Collector.spans c in
-            (match fmt with
-             | "jsonl" ->
-               Elastic_obs.Export.write_jsonl ~path:file
-                 ~campaign:s.design spans
-             | "chrome" ->
-               Elastic_obs.Export.write_chrome ~path:file spans
-             | _ -> Elastic_obs.Export.write_folded ~path:file spans);
-            Ok
-              (Fmt.str "wrote %d spans to %s (%s)" (List.length spans)
-                 file fmt)))
-  | "spans" :: _ ->
-    Error
-      "usage: spans on [capacity] | spans off | spans dump [n] | spans \
-       jsonl <file> | spans chrome <file> | spans folded <file>"
-  | "vcd" :: file :: rest ->
-    with_net s (fun net ->
-        let cycles =
-          match rest with
-          | [] -> Ok 200
-          | [ n ] -> int_arg "cycles" n
-          | _ -> Error "usage: vcd <file> [cycles]"
-        in
-        match cycles with
-        | Error m -> Error m
-        | Ok cycles ->
-          catch (fun () ->
-              let eng = Elastic_sim.Engine.create ~mode:s.eval_mode net in
+                (Fmt.str
+                   "tracing on (ring capacity %d events); simulation \
+                    commands now record events (dump with: trace dump)"
+                   capacity)
+            | [ "off" ] ->
+              s.trace_capacity <- None;
+              Ok "tracing off (the last recorded trace is still dumpable)"
+            | "dump" :: rest ->
+              with_net s (fun net ->
+                  let* limit = opt_int (count_opt 40) rest in
+                  let* tr =
+                    Option.to_result s.tracer
+                      ~none:
+                        "no trace recorded (use: trace on, then a simulation \
+                         command such as throughput, stats or timeline)"
+                  in
+                  Ok
+                    (last_recorded "events" (Elastic_trace.Event.pp net)
+                       ~recorded:(Elastic_trace.Tracer.recorded tr)
+                       ~dropped:(Elastic_trace.Tracer.dropped tr)
+                       (Elastic_trace.Tracer.recent ~limit tr)))
+            | args ->
+              on_cycles 8 (fun s net cycles -> Ok (trace_table s net cycles)) s
+                args) };
+      { word = "vcd";
+        help =
+          {|  vcd <file> [cycles]      simulate and write a VCD waveform (handshake
+                           wires + channel state + data, GTKWave-ready)|};
+        run =
+          on_net (fun s net -> function
+            | file :: rest ->
+              let* cycles = opt_int (cycles_opt 200) rest in
               let rc = Elastic_trace.Vcd.create net in
-              (* Compose the VCD recorder with a tracer when tracing is
-                 on — the engine has a single observer slot. *)
-              let tr =
-                match s.trace_capacity with
-                | None -> None
-                | Some capacity ->
-                  let tr = Elastic_trace.Tracer.create ~capacity eng in
-                  s.tracer <- Some tr;
-                  Some tr
-              in
-              Elastic_sim.Engine.set_observer eng
-                (Some
-                   (fun e ->
-                      (match tr with
-                       | None -> ()
-                       | Some tr -> Elastic_trace.Tracer.observe tr e);
-                      Elastic_trace.Vcd.observe rc e));
-              Elastic_sim.Engine.run eng cycles;
+              simulate s (Elastic_sim.Engine.create net) cycles
+                ~observers:[ Elastic_trace.Vcd.observe rc ];
               Elastic_trace.Vcd.save file rc;
               Ok
                 (Fmt.str "wrote %s (%d cycles, %d channels)" file cycles
-                   (List.length (Netlist.channels net)))))
-  | [ "vcd" ] -> Error "usage: vcd <file> [cycles]"
-  | "timeline" :: rest ->
-    with_net s (fun net ->
-        let cycles =
-          match rest with
-          | [] -> Ok 200
-          | [ n ] -> int_arg "cycles" n
-          | _ -> Error "usage: timeline [cycles]"
-        in
-        match cycles with
-        | Error m -> Error m
-        | Ok cycles ->
-          catch (fun () ->
-              let eng = Elastic_sim.Engine.create ~mode:s.eval_mode net in
-              let tr = Elastic_trace.Tracer.attach eng in
-              s.tracer <- Some tr;
-              Elastic_sim.Engine.run eng cycles;
-              match
-                Elastic_trace.Timeline.analyze
-                  (Elastic_trace.Tracer.events tr)
-              with
+                   (List.length (Netlist.channels net)))
+            | [] -> usage ()) };
+      { word = "timeline";
+        help =
+          {|  timeline [cycles]        per-scheduler speculation timeline: accuracy,
+                           squash-penalty distribution, commit intervals|};
+        run =
+          on_cycles 200 (fun s net cycles ->
+              simulate s (Elastic_sim.Engine.create net) cycles
+                ~trace_capacity:65536;
+              let events =
+                Option.fold ~none:[] ~some:Elastic_trace.Tracer.events s.tracer
+              in
+              match Elastic_trace.Timeline.analyze events with
               | [] -> Ok "no speculation schedulers in the design"
-              | tls ->
-                Ok (Fmt.str "%a" (Elastic_trace.Timeline.pp net) tls)))
-  | "attribute" :: rest ->
-    with_net s (fun net ->
-        let cycles =
-          match rest with
-          | [] -> Ok 200
-          | [ n ] -> int_arg "cycles" n
-          | _ -> Error "usage: attribute [cycles]"
-        in
-        match cycles with
-        | Error m -> Error m
-        | Ok cycles ->
-          catch (fun () ->
-              let eng = sim_engine s net in
-              Elastic_sim.Engine.run eng cycles;
+              | tls -> Ok (Fmt.str "%a" (Elastic_trace.Timeline.pp net) tls))
+      };
+      { word = "attribute";
+        help =
+          {|  attribute [cycles]       simulate, walk the backpressure chain to the
+                           bottleneck channel, and cross-check it against
+                           the marked-graph critical cycle|};
+        run =
+          on_cycles 200 (fun s net cycles ->
               Ok
                 (Fmt.str "%a" Elastic_trace.Attribution.pp
-                   (Elastic_trace.Attribution.analyze eng))))
-  | "trace" :: rest ->
-    with_net s (fun net ->
-        let cycles =
-          match rest with
-          | [ n ] -> Option.value (int_of_string_opt n) ~default:8
-          | _ -> 8
-        in
-        catch (fun () ->
-            let eng = sim_engine s net in
-            let cell (sg : Signal.t) =
-              if sg.Signal.v_minus then "  -"
-              else if sg.Signal.v_plus then
-                (match sg.Signal.data with
-                 | Some v ->
-                   let t = Value.to_string v in
-                   if String.length t > 3 then
-                     " " ^ String.sub t 0 2
-                   else Fmt.str "%3s" t
-                 | None -> "  ?")
-              else "  *"
-            in
-            let rows =
-              List.map
-                (fun (c : Netlist.channel) -> (c.Netlist.ch_name, ref []))
-                (Netlist.channels net)
-            in
-            for _ = 1 to cycles do
-              Elastic_sim.Engine.step eng;
-              List.iter2
-                (fun (c : Netlist.channel) (_, cells) ->
-                   cells :=
-                     cell (Elastic_sim.Engine.signal eng c.Netlist.ch_id)
-                     :: !cells)
-                (Netlist.channels net) rows
-            done;
-            Ok
-              (String.concat "\n"
-                 (List.map
-                    (fun (name, cells) ->
-                       Fmt.str "%-30s%s" name
-                         (String.concat "" (List.rev !cells)))
-                    rows))))
-  | "throughput" :: rest ->
-    with_net s (fun net ->
-        let cycles =
-          match rest with
-          | [ n ] -> Option.value (int_of_string_opt n) ~default:200
-          | _ -> 200
-        in
-        catch (fun () -> Ok (throughput_report s net cycles)))
-  | [ "cycletime" ] ->
-    with_net s (fun net ->
-        match Timing.analyze net with
-        | Ok r -> Ok (Fmt.str "%a" Timing.pp_report r)
-        | Error m -> Error m)
-  | [ "area" ] ->
-    with_net s (fun net ->
-        Ok (Fmt.str "total area: %.1f gate equivalents" (Area.total net)))
-  | [ "bound" ] ->
-    with_net s (fun net ->
-        catch (fun () ->
-            Ok
-              (Fmt.str "marked-graph throughput bound: %.3f"
-                 (Elastic_perf.Marked_graph.throughput_bound net))))
-  | [ "critical" ] ->
-    with_net s (fun net ->
-        catch (fun () ->
-            match Elastic_perf.Marked_graph.critical_cycle net with
-            | Some c ->
-              Ok (Fmt.str "%a" Elastic_perf.Marked_graph.pp_cycle c)
-            | None -> Ok "no token-bearing cycle (feed-forward design)"))
-  | [ "verify" ] ->
-    with_net s (fun net ->
-        catch (fun () ->
-            let o = Elastic_check.Explore.explore net in
-            let verdict =
-              if Elastic_check.Explore.clean o then "VERIFIED"
-              else if
-                o.Elastic_check.Explore.protocol_violations = []
-                && o.Elastic_check.Explore.deadlock_states = []
-                && o.Elastic_check.Explore.starving_channels = []
-              then
-                "BOUNDED: state cap reached with no violations (the design \
-                 has unbounded sources; use Nondet sources for an \
-                 exhaustive check)"
-              else "PROBLEMS FOUND"
-            in
-            Ok
-              (Fmt.str "%a@.%s" Elastic_check.Explore.pp_outcome o verdict)))
-  | [ "prove" ] ->
-    catch (fun () ->
-        let results =
-          List.map (fun c -> (c, Derivations.verify c)) (Derivations.all ())
-        in
-        let render ((c : Derivations.chain), r) =
-          match r with
-          | Ok p -> Fmt.str "%a" Elastic_check.Flow.pp_proof p
-          | Error d ->
-            Fmt.str "%s: REFUTED %s" c.Derivations.c_name
-              (Diagnostic.to_string d)
-        in
-        let text = String.concat "\n" (List.map render results) in
-        if List.for_all (fun (_, r) -> Result.is_ok r) results then Ok text
-        else Error text)
-  | [ "prove"; "jsonl"; file ] ->
-    catch (fun () ->
-        let chains = Derivations.all () in
-        let oc = open_out file in
-        List.iter
-          (fun (c : Derivations.chain) ->
-             output_string oc
-               (Elastic_check.Flow.jsonl ~design:c.Derivations.c_name
-                  ~cert:c.Derivations.c_cert (Derivations.verify c)))
-          chains;
-        close_out oc;
-        Ok (Fmt.str "wrote %s (%d chains)" file (List.length chains)))
-  | [ "prove"; name ] ->
-    catch (fun () ->
-        match Derivations.find name with
-        | None ->
-          Error
-            (Fmt.str "unknown chain %S (available: %s)" name
-               (String.concat ", "
+                   (Elastic_trace.Attribution.analyze
+                      (simulated s net cycles)))) };
+      { word = "profile";
+        help =
+          {|  profile [cycles]         evaluation schedule and per-node settle cost
+                           (fresh engine per call: the report covers this
+                           invocation only, not previous runs)|};
+        run =
+          on_cycles 200 (fun s net cycles ->
+              let eng = simulated s net cycles in
+              let names =
+                Array.of_list
                   (List.map
-                     (fun (c : Derivations.chain) -> c.Derivations.c_name)
-                     (Derivations.all ()))))
-        | Some c -> (
-            match Derivations.verify c with
-            | Ok p ->
+                     (fun (n : Netlist.node) -> n.Netlist.name)
+                     (Netlist.nodes net))
+              in
+              Ok
+                (Fmt.str "@[<v>window: this invocation only (%d cycles)@,\
+                          schedule: %a@,%a@]"
+                   cycles Elastic_sim.Schedule.pp_stats
+                   (Elastic_sim.Engine.schedule eng)
+                   (Elastic_sim.Profile.pp ~name:(fun i -> names.(i)))
+                   (Elastic_sim.Engine.profile eng))) };
+      { word = "metrics";
+        help =
+          {|  metrics [cycles]         simulate and print the metrics registry in
+                           Prometheus text-exposition format (counters,
+                           gauges, histograms over engine / channels /
+                           schedulers / faults)
+  metrics prom <file> [cycles]   write the Prometheus snapshot to a file
+  metrics jsonl <file> [cycles] [window]  windowed JSONL time series
+                           (one cumulative snapshot line per window)|};
+        run =
+          on_net (fun s net -> function
+            | "prom" :: file :: rest ->
+              let* cycles = opt_int (cycles_opt 200) rest in
+              write_file file (prometheus s net cycles);
+              Ok (Fmt.str "wrote %s (%d cycles)" file cycles)
+            | "jsonl" :: file :: rest ->
+              let* cycles, window =
+                opt_int2 (cycles_opt 200) (positive "window" 50) rest
+              in
+              let rows = ref [] in
+              windowed s net ~window cycles ~on_window:(fun _ r ->
+                  rows := (Metr.Sampler.jsonl_of_row r ^ "\n") :: !rows);
+              write_file file (String.concat "" (List.rev !rows));
+              Ok
+                (Fmt.str "wrote %s (%d cycles, %d windows of %d)" file
+                   cycles (List.length !rows) window)
+            | args ->
+              let* cycles = opt_int (cycles_opt 200) args in
+              Ok
+                (Fmt.str "# simulated %d cycles@.%s" cycles
+                   (prometheus s net cycles))) };
+      { word = "watch";
+        help =
+          {|  watch [cycles] [every]   live dashboard: simulate and render a frame
+                           every [every] cycles (throughput, prediction
+                           accuracy, replay penalties, stalls, occupancy)|};
+        run =
+          on_net (fun s net args ->
+              let* cycles, every =
+                opt_int2 (cycles_opt 200) (positive "every" 50) args
+              in
+              let frames = Buffer.create 1024 in
+              windowed s net ~window:every cycles ~on_window:(fun eng r ->
+                  Buffer.add_string frames (watch_frame net eng r));
+              Ok
+                (Fmt.str "%swatched %d cycles (frame every %d)"
+                   (Buffer.contents frames) cycles every)) };
+      { word = "cycletime";
+        help = {|  cycletime                static cycle-time analysis|};
+        run =
+          query (fun net ->
+              let* r = Timing.analyze net in
+              Ok (Fmt.str "%a" Timing.pp_report r)) };
+      { word = "area";
+        help = {|  area                     gate-equivalent area|};
+        run =
+          query (fun net ->
+              Ok (Fmt.str "total area: %.1f gate equivalents" (Area.total net)))
+      };
+      { word = "bound";
+        help = {|  bound                    marked-graph throughput bound|};
+        run =
+          query (fun net ->
+              Ok
+                (Fmt.str "marked-graph throughput bound: %.3f"
+                   (Elastic_perf.Marked_graph.throughput_bound net))) };
+      { word = "critical";
+        help = {|  critical                 critical cycle of the marked graph|};
+        run =
+          query (fun net ->
+              match Elastic_perf.Marked_graph.critical_cycle net with
+              | Some c -> Ok (Fmt.str "%a" Elastic_perf.Marked_graph.pp_cycle c)
+              | None -> Ok "no token-bearing cycle (feed-forward design)") };
+      { word = "verify";
+        help =
+          {|  verify                   exhaustive state exploration (protocol,
+                           deadlock, starvation)|};
+        run =
+          query (fun net ->
+              let o = Elastic_check.Explore.explore net in
+              let verdict =
+                if Elastic_check.Explore.clean o then "VERIFIED"
+                else if
+                  o.Elastic_check.Explore.protocol_violations = []
+                  && o.Elastic_check.Explore.deadlock_states = []
+                  && o.Elastic_check.Explore.starving_channels = []
+                then
+                  "BOUNDED: state cap reached with no violations (the \
+                   design has unbounded sources; use Nondet sources for an \
+                   exhaustive check)"
+                else "PROBLEMS FOUND"
+              in
+              Ok
+                (Fmt.str "%a@.%s" Elastic_check.Explore.pp_outcome o verdict))
+      };
+      { word = "prove";
+        help =
+          {|  prove [chain]            statically check the bundled certificate
+                           chains (fig1b fig1c fig1d vl-slack
+                           rs-slack): re-validate every recorded
+                           step's side conditions and replay it on the
+                           channel graph — zero engine cycles; E4xx
+                           diagnostics name the first failing step
+  prove jsonl <file>       write every chain's proof as JSONL
+                           (schema elastic-speculation/proof/v1)|};
+        run =
+          (fun _ -> function
+            | [] ->
+              let results =
+                List.map
+                  (fun c -> (c, Derivations.verify c))
+                  (Derivations.all ())
+              in
+              let render ((c : Derivations.chain), r) =
+                match r with
+                | Ok p -> Fmt.str "%a" Elastic_check.Flow.pp_proof p
+                | Error d ->
+                  Fmt.str "%s: REFUTED %s" c.Derivations.c_name
+                    (Diagnostic.to_string d)
+              in
+              let text = String.concat "\n" (List.map render results) in
+              if List.for_all (fun (_, r) -> Result.is_ok r) results then
+                Ok text
+              else Error text
+            | [ "jsonl"; file ] ->
+              let chains = Derivations.all () in
+              write_file file
+                (String.concat ""
+                   (List.map
+                      (fun (c : Derivations.chain) ->
+                         Elastic_check.Flow.jsonl ~design:c.Derivations.c_name
+                           ~cert:c.Derivations.c_cert (Derivations.verify c))
+                      chains));
+              Ok (Fmt.str "wrote %s (%d chains)" file (List.length chains))
+            | [ name ] ->
+              let names =
+                List.map
+                  (fun (c : Derivations.chain) -> c.Derivations.c_name)
+                  (Derivations.all ())
+              in
+              let* c = lookup "chain" names Derivations.find name in
+              let* p = diag (Derivations.verify c) in
               Ok
                 (Fmt.str "%s@.%a" c.Derivations.c_describe
                    Elastic_check.Flow.pp_proof p)
-            | Error d -> Error (Diagnostic.to_string d)))
-  | [ "equiv" ] -> Error "usage: equiv <design> [--static|cycles]"
-  | "equiv" :: design :: rest ->
-    with_net s (fun net ->
-        match List.assoc_opt design designs with
-        | None ->
-          Error
-            (Fmt.str "unknown design %S (available: %s)" design
-               (String.concat ", " (List.map fst designs)))
-        | Some build ->
-          catch (fun () ->
-              let other = build () in
-              let tag = Fmt.str "%s-vs-%s" s.design design in
-              match rest with
-              | [ "--static" ] -> (
-                  match
-                    Elastic_check.Flow.equiv_static ~design:tag net other
-                  with
-                  | Ok p -> Ok (Fmt.str "%a" Elastic_check.Flow.pp_proof p)
-                  | Error d -> Error (Diagnostic.to_string d))
-              | [] | [ _ ] -> (
-                  match
-                    match rest with
-                    | [] -> Some 300
-                    | [ c ] -> int_of_string_opt c
-                    | _ -> None
-                  with
-                  | None -> Error "usage: equiv <design> [--static|cycles]"
-                  | Some cycles -> (
-                      match Equiv.check ~cycles net other with
-                      | Ok r ->
-                        Ok
-                          (Fmt.str
-                             "transfer equivalent over %d cycles: %s"
-                             r.Equiv.cycles
-                             (String.concat ", "
-                                (List.map
-                                   (fun (n, a, b) ->
-                                      Fmt.str "%s %d/%d" n a b)
-                                   r.Equiv.transfers)))
-                      | Error m -> Error m))
-              | _ -> Error "usage: equiv <design> [--static|cycles]"))
-  | [ "lint" ] ->
-    with_net s (fun net ->
-        let report = Elastic_lint.Lint.run net in
-        let text = Elastic_lint.Lint.render report in
-        (* Error findings fail the command, so scripts (and the CI lint
-           gate) exit nonzero on a broken design. *)
-        if Elastic_lint.Lint.clean report then Ok text else Error text)
-  | [ "lint"; "--fix" ] ->
-    transform s (fun net ->
-        let report = Elastic_lint.Lint.run net in
-        let net', n = Elastic_lint.Lint.apply_fixes net report in
-        if n = 0 then Error "no machine-applicable fixes in the lint report"
-        else
-          Ok (net', Fmt.str "applied %d fix(es); lint again to re-check" n))
-  | [ "lint"; "jsonl"; file ] ->
-    with_net s (fun net ->
-        catch (fun () ->
-            let report = Elastic_lint.Lint.run net in
-            let oc = open_out file in
-            output_string oc
-              (Elastic_lint.Lint.jsonl ~design:s.design net report);
-            close_out oc;
-            Ok
-              (Fmt.str "wrote %s (%d diagnostics)" file
-                 (List.length report.Elastic_lint.Lint.diags))))
-  | [ "lint"; rule ] ->
-    with_net s (fun net ->
-        match Elastic_lint.Lint.find_rule rule with
-        | None ->
-          Error
-            (Fmt.str "unknown lint rule %S (a code such as E102 or a slug \
-                      such as comb-cycle)"
-               rule)
-        | Some _ ->
-          let report = Elastic_lint.Lint.run ~only:[ rule ] net in
-          let text = Elastic_lint.Lint.render report in
-          if Elastic_lint.Lint.clean report then Ok text else Error text)
-  | [ "save"; file ] ->
-    with_net s (fun net ->
-        catch (fun () ->
-            Serial.save file net;
-            Ok (Fmt.str "wrote %s" file)))
-  | [ "open"; file ] -> (
-      match Serial.load file with
-      | Ok net ->
-        s.net <- Some net;
-        s.design <- Filename.remove_extension (Filename.basename file);
-        s.undo <- [];
-        s.redo <- [];
-        Ok (Fmt.str "opened %s" file)
-      | Error m -> Error m)
-  | [ "dot"; file ] ->
-    with_net s (fun net ->
-        catch (fun () ->
-            Dot.save file net;
-            Ok (Fmt.str "wrote %s" file)))
-  | [ "verilog"; file ] ->
-    with_net s (fun net ->
-        catch (fun () ->
-            Verilog.save file ~top:"elastic_top" net;
-            Ok (Fmt.str "wrote %s" file)))
-  | [ "blif"; file ] ->
-    with_net s (fun net ->
-        catch (fun () ->
-            Blif.save file ~model:"elastic_ctrl" net;
-            Ok (Fmt.str "wrote %s" file)))
-  | [ "smv"; file ] ->
-    with_net s (fun net ->
-        catch (fun () ->
-            Smv.save file net;
-            Ok (Fmt.str "wrote %s" file)))
-  | [ "undo" ] -> (
-      match s.undo, s.net with
-      | prev :: rest, Some cur ->
-        s.undo <- rest;
-        s.redo <- cur :: s.redo;
-        s.net <- Some prev;
-        Ok "undone"
-      | _, _ -> Error "nothing to undo")
-  | [ "redo" ] -> (
-      match s.redo, s.net with
-      | next :: rest, Some cur ->
-        s.redo <- rest;
-        s.undo <- cur :: s.undo;
-        s.net <- Some next;
-        Ok "redone"
-      | _, _ -> Error "nothing to redo")
-  | "inject" :: target :: kind :: rest ->
-    with_net s (fun net -> inject_cmd net target kind rest)
-  | [ "inject" ] | [ "inject"; _ ] -> Error inject_usage
-  | "campaign" :: kind :: rest ->
-    with_net s (fun net -> campaign_cmd s net kind rest)
-  | [ "campaign" ] -> Error campaign_usage
-  | [ "serve"; "stop" ] -> (
-      match s.telemetry with
-      | None -> Error "no telemetry server running"
-      | Some hub ->
-        Elastic_telemetry.Telemetry.stop hub;
-        s.telemetry <- None;
-        Ok "telemetry server stopped")
-  | [ "serve" ] | [ "serve"; _ ] -> (
-      let module Telemetry = Elastic_telemetry.Telemetry in
-      match
-        match words with
-        | [ _; p ] -> int_arg "port" p
-        | _ -> Ok 8080
-      with
-      | Error m -> Error m
-      | Ok port when port < 0 || port > 65535 ->
-        Error "port must be in 0..65535 (0 picks an ephemeral port)"
-      | Ok port -> (
-          match s.telemetry with
-          | Some hub ->
-            Error
-              (Fmt.str "telemetry server already on port %d (serve stop \
-                        first)"
-                 (Option.value ~default:0 (Telemetry.port hub)))
-          | None -> (
-              let hub = Telemetry.create () in
-              (* Expose whatever span ledger the session already has. *)
-              (match s.collector with
-               | Some c -> Telemetry.set_collector hub (Some c)
-               | None -> ());
-              match Telemetry.start ~port hub with
-              | Error m -> Error m
-              | Ok bound ->
-                s.telemetry <- Some hub;
-                Ok
-                  (Fmt.str
-                     "telemetry server on http://127.0.0.1:%d — \
-                      /metrics /status /spans.jsonl /healthz (campaign \
-                      --par runs publish live progress here)"
-                     bound))))
-  | [ "runner"; "status"; file ] -> (
-      match Elastic_runner.Checkpoint.load file with
-      | Ok cp -> Ok (Fmt.str "%a" Elastic_runner.Checkpoint.pp_status cp)
-      | Error m -> Error (Fmt.str "%s: %s" file m))
-  | [ "runner"; "status"; file; "--json" ] -> (
-      (* The same elastic-speculation/status/v1 document the live
-         /status endpoint serves, derived from the checkpoint. *)
-      match Elastic_runner.Checkpoint.load file with
-      | Ok cp ->
-        Ok
-          (Elastic_metrics.Json.to_string
-             (Elastic_runner.Status.of_checkpoint cp))
-      | Error m -> Error (Fmt.str "%s: %s" file m))
-  | [ "runner"; "resume"; file ] -> (
-      match Elastic_runner.Checkpoint.load file with
-      | Error m -> Error (Fmt.str "%s: %s" file m)
-      | Ok cp -> (
-          match cp.Elastic_runner.Checkpoint.header.command with
-          | None ->
-            Error
-              (Fmt.str
-                 "%s records no command to resume (it was written by an \
-                  embedding, not the shell)"
-                 file)
-          | Some cmd ->
-            s.pending_resume <- Some cp;
-            Fun.protect
-              ~finally:(fun () -> s.pending_resume <- None)
-              (fun () -> execute_cmd s cmd)))
-  | "runner" :: _ ->
-    Error
-      "usage: runner status <checkpoint> [--json] | runner resume \
-       <checkpoint>"
-  | [ "on-error"; "continue" ] ->
-    s.on_error_continue <- true;
-    Ok "scripts now continue past failing lines (reported per line)"
-  | [ "on-error"; "abort" ] ->
-    s.on_error_continue <- false;
-    Ok "scripts now stop at the first failing line"
-  | "on-error" :: _ -> Error "usage: on-error continue|abort"
-  | [ "quit" ] | [ "exit" ] -> Ok "bye"
-  | w :: _ when List.mem w commands ->
-    (* a known command that fell through its argument patterns *)
-    Error (Fmt.str "command %S: bad or missing arguments (try: help)" w)
-  | w :: _ -> Error (Fmt.str "unknown command %S (try: help)" w)
+            | _ -> usage ()) };
+      { word = "equiv";
+        help =
+          {|  equiv <design> [cycles]  co-simulate the loaded netlist against a
+                           predefined design and compare sink streams
+                           (transfer equivalence, Section 3.1)
+  equiv <design> --static  static mode instead: normalize both netlists
+                           by confluent empty-buffer removal and compare
+                           canonical forms (decides buffer-insertion
+                           differences without simulating)|};
+        run =
+          on_net (fun s net -> function
+            | design :: rest -> (
+                let* build = design_arg design in
+                let other = build () in
+                match rest with
+                | [ "--static" ] ->
+                  let tag = Fmt.str "%s-vs-%s" s.design design in
+                  let* p =
+                    diag (Elastic_check.Flow.equiv_static ~design:tag net other)
+                  in
+                  Ok (Fmt.str "%a" Elastic_check.Flow.pp_proof p)
+                | rest ->
+                  let* cycles = opt_int (cycles_opt 300) rest in
+                  let* r = Equiv.check ~cycles net other in
+                  Ok
+                    (Fmt.str "transfer equivalent over %d cycles: %s"
+                       r.Equiv.cycles
+                       (String.concat ", "
+                          (List.map
+                             (fun (n, a, b) -> Fmt.str "%s %d/%d" n a b)
+                             r.Equiv.transfers))))
+            | [] -> usage ()) };
+      { word = "lint";
+        help =
+          {|  lint                     static analysis: structural, SELF-invariant
+                           and speculation rules (E/W/I codes); fails on
+                           error findings (script exit code 1)
+  lint <code|slug>         run a single rule (e.g. lint E102, lint
+                           comb-cycle)
+  lint --fix               apply the machine-applicable fix-its from the
+                           report (insert bubble, convert buffer, seed a
+                           token); undoable
+  lint jsonl <file>        write the report as JSONL
+                           (schema elastic-speculation/lint/v1)|};
+        run =
+          (fun s -> function
+            | [ "--fix" ] ->
+              transform s (fun net ->
+                  let report = Elastic_lint.Lint.run net in
+                  let net', n = Elastic_lint.Lint.apply_fixes net report in
+                  if n = 0 then
+                    Error "no machine-applicable fixes in the lint report"
+                  else
+                    Ok
+                      (net',
+                       Fmt.str "applied %d fix(es); lint again to re-check" n))
+            | [ "jsonl"; file ] ->
+              with_net s (fun net ->
+                  let report = Elastic_lint.Lint.run net in
+                  write_file file
+                    (Elastic_lint.Lint.jsonl ~design:s.design net report);
+                  Ok
+                    (Fmt.str "wrote %s (%d diagnostics)" file
+                       (List.length report.Elastic_lint.Lint.diags)))
+            | ([] | [ _ ]) as only ->
+              with_net s (fun net ->
+                  match only with
+                  | [ rule ]
+                    when Option.is_none (Elastic_lint.Lint.find_rule rule) ->
+                    Error
+                      (Fmt.str
+                         "unknown lint rule %S (a code such as E102 or a \
+                          slug such as comb-cycle)"
+                         rule)
+                  | _ -> lint_verdict (Elastic_lint.Lint.run ~only net))
+            | _ -> usage ()) };
+      { word = "inject";
+        help =
+          {|  inject <ch> flip <cycle> <bit>       single fault-injection experiments:
+  inject <ch> drop|dup|glitch <cycle>  run a faulted and a clean engine in
+  inject <ch> stall <cycle> [dur]      lockstep and classify the outcome
+  inject <node> mispredict <cycle> <way>|};
+        run =
+          on_net (fun _ net -> function
+            | target :: kind :: rest -> inject_cmd net target kind rest
+            | _ -> usage ()) };
+      { word = "campaign";
+        help =
+          {|  campaign flips <ch> <n> <seed> [cycles]  seeded single-bit-flip campaign
+  campaign storm <n> <seed> [cycles]       flips spread over all channels
+                           (sinks named "alarm" act as error detectors:
+                           a value >= 2 counts as detection)
+  campaign ... --par <n> [--checkpoint <file>] [--serve <port>]
+                           shard the campaign over n workers under the
+                           supervised runner: crashing shards are
+                           isolated with provenance, transient failures
+                           retry with seeded backoff, completed shards
+                           checkpoint to <file> for resume; --serve
+                           exposes live telemetry for this run (or use
+                           the serve command for a persistent server)|};
+        run =
+          on_net (fun s net -> function
+            | kind :: rest -> campaign_cmd s net kind rest
+            | [] -> usage ()) };
+      { word = "serve";
+        help =
+          {|  serve [port]             start the live telemetry HTTP server on
+                           localhost (default port 8080; port 0 picks
+                           an ephemeral port): /metrics /status
+                           /spans.jsonl /healthz; subsequent campaign
+                           --par runs publish progress + heartbeats to
+                           it, and a watchdog flips /healthz to 503
+                           when a running shard stalls
+  serve stop               stop the telemetry server|};
+        run =
+          (fun s args ->
+             let module Telemetry = Elastic_telemetry.Telemetry in
+             match args, s.telemetry with
+             | [ "stop" ], None -> Error "no telemetry server running"
+             | [ "stop" ], Some hub ->
+               Telemetry.stop hub;
+               s.telemetry <- None;
+               Ok "telemetry server stopped"
+             | args, running -> (
+                 let* p =
+                   opt_int { name = "port"; default = 8080; min = 0 } args
+                 in
+                 let* port = port "port" p in
+                 match running with
+                 | Some hub ->
+                   Error
+                     (Fmt.str
+                        "telemetry server already on port %d (serve stop \
+                         first)"
+                        (Option.value ~default:0 (Telemetry.port hub)))
+                 | None ->
+                   let hub = Telemetry.create () in
+                   (* Expose whatever span ledger the session already
+                      has. *)
+                   Telemetry.set_collector hub s.collector;
+                   let* bound = Telemetry.start ~port hub in
+                   s.telemetry <- Some hub;
+                   Ok
+                     (Fmt.str
+                        "telemetry server on http://127.0.0.1:%d — \
+                         /metrics /status /spans.jsonl /healthz \
+                         (campaign --par runs publish live progress here)"
+                        bound))) };
+      { word = "runner";
+        help =
+          {|  runner status <file> [--json]
+                           completeness of a campaign checkpoint, plus a
+                           per-shard outcome digest (retries, slowest
+                           shard, total attempt seconds); --json emits
+                           the elastic-speculation/status/v1 document
+                           the live /status endpoint also serves
+  runner resume <file>     re-run the campaign command stored in the
+                           checkpoint, adopting completed shards instead
+                           of recomputing them|};
+        run =
+          (fun s -> function
+            | [ "status"; file ] ->
+              let* cp = load_checkpoint file in
+              Ok (Fmt.str "%a" Elastic_runner.Checkpoint.pp_status cp)
+            | [ "status"; file; "--json" ] ->
+              (* The same elastic-speculation/status/v1 document the live
+                 /status endpoint serves, derived from the checkpoint. *)
+              let* cp = load_checkpoint file in
+              Ok
+                (Elastic_metrics.Json.to_string
+                   (Elastic_runner.Status.of_checkpoint cp))
+            | [ "resume"; file ] ->
+              let* cp = load_checkpoint file in
+              let* cmd =
+                Option.to_result cp.Elastic_runner.Checkpoint.header.command
+                  ~none:
+                    (Fmt.str
+                       "%s records no command to resume (it was written by \
+                        an embedding, not the shell)"
+                       file)
+              in
+              s.pending_resume <- Some cp;
+              Fun.protect
+                ~finally:(fun () -> s.pending_resume <- None)
+                (fun () -> execute_cmd s cmd)
+            | _ -> usage ()) };
+      { word = "spans";
+        help =
+          {|  spans on [capacity]      record structured spans (campaign -> shard ->
+                           attempt -> compile/settle/checkpoint-write/
+                           backoff-sleep) during subsequent campaign
+                           --par runs, one ring per worker
+  spans off                stop recording (the last ledger stays
+                           dumpable and exportable)
+  spans dump [n]           print the last n recorded spans
+  spans jsonl <file>       export the ledger as JSONL
+                           (schema elastic-speculation/spans/v1)
+  spans chrome <file>      export Chrome trace-event JSON (load in
+                           Perfetto / chrome://tracing; one track per
+                           worker)
+  spans folded <file>      export collapsed stacks for flamegraph.pl|};
+        run =
+          (fun s -> function
+            | "on" :: rest ->
+              let* capacity = opt_int (positive "capacity" 8192) rest in
+              s.spans_capacity <- Some capacity;
+              Ok
+                (Fmt.str
+                   "spans on (per-worker ring capacity %d); campaign --par \
+                    runs now record a span ledger (dump with: spans dump)"
+                   capacity)
+            | [ "off" ] ->
+              s.spans_capacity <- None;
+              Ok "spans off (the last recorded ledger is still exportable)"
+            | "dump" :: rest ->
+              let* limit = opt_int (count_opt 40) rest in
+              let* c = recorded_spans s in
+              let spans = Elastic_obs.Collector.spans c in
+              let skip = max 0 (List.length spans - limit) in
+              let base_ns = Elastic_obs.Export.base_ns spans in
+              Ok
+                (last_recorded "spans" (Elastic_obs.Span.pp ~base_ns)
+                   ~recorded:(Elastic_obs.Collector.recorded c)
+                   ~dropped:(Elastic_obs.Collector.dropped c)
+                   (List.filteri (fun i _ -> i >= skip) spans))
+            | [ (("jsonl" | "chrome" | "folded") as fmt); file ] ->
+              let* c = recorded_spans s in
+              let spans = Elastic_obs.Collector.spans c in
+              (match fmt with
+               | "jsonl" ->
+                 Elastic_obs.Export.write_jsonl ~path:file ~campaign:s.design
+                   spans
+               | "chrome" -> Elastic_obs.Export.write_chrome ~path:file spans
+               | _ -> Elastic_obs.Export.write_folded ~path:file spans);
+              Ok
+                (Fmt.str "wrote %d spans to %s (%s)" (List.length spans) file
+                   fmt)
+            | _ -> usage ()) };
+      { word = "on-error";
+        help =
+          {|  on-error continue|abort  script mode: report failing lines (with their
+                           line numbers) and keep going, or stop at the
+                           first error (the default)|};
+        run =
+          (fun s -> function
+            | [ "continue" ] ->
+              s.on_error_continue <- true;
+              Ok "scripts now continue past failing lines (reported per line)"
+            | [ "abort" ] ->
+              s.on_error_continue <- false;
+              Ok "scripts now stop at the first failing line"
+            | _ -> usage ()) };
+      { word = "dot";
+        help = {|  dot <file>               export Graphviz|};
+        run = export Dot.save };
+      { word = "verilog";
+        help = {|  verilog <file>           export the elastic controller as Verilog|};
+        run =
+          export (fun file net -> Verilog.save file ~top:"elastic_top" net) };
+      { word = "blif";
+        help = {|  blif <file>              export the control network for SIS/ABC|};
+        run =
+          export (fun file net -> Blif.save file ~model:"elastic_ctrl" net) };
+      { word = "smv";
+        help = {|  smv <file>               export a NuSMV control model|};
+        run = export Smv.save };
+      { word = "undo";
+        help = {|  undo / redo              navigate the transformation history|};
+        run =
+          (fun s args ->
+             match args, s.undo, s.net with
+             | [], prev :: rest, Some cur ->
+               s.undo <- rest;
+               s.redo <- cur :: s.redo;
+               s.net <- Some prev;
+               Ok "undone"
+             | [], _, _ -> Error "nothing to undo"
+             | _ -> usage ()) };
+      { word = "redo";
+        help = "";
+        run =
+          (fun s args ->
+             match args, s.redo, s.net with
+             | [], next :: rest, Some cur ->
+               s.redo <- rest;
+               s.undo <- cur :: s.undo;
+               s.net <- Some next;
+               Ok "redone"
+             | [], _, _ -> Error "nothing to redo"
+             | _ -> usage ()) };
+      { word = "help";
+        help = {|  help                     this text|};
+        run = no_args (fun () -> Ok (help_of (Lazy.force table))) };
+      { word = "quit";
+        help = {|  quit (or exit)           leave the shell|};
+        run = bye };
+      { word = "exit"; help = ""; run = bye } ]
+
+and execute_cmd s line =
+  let table = Lazy.force table in
+  match
+    String.split_on_char ' ' (String.trim line)
+    |> List.filter (fun w -> w <> "")
+  with
+  | [] | "#" :: _ -> Ok ""
+  | w :: args -> (
+      match List.find_opt (fun c -> String.equal c.word w) table with
+      | None -> Error (Fmt.str "unknown command %S (try: help)" w)
+      | Some c -> ( try c.run s args with Usage -> Error (usage_of table w)))
+
+let help = help_of (Lazy.force table)
+
+let commands = List.map (fun c -> c.word) (Lazy.force table)
 
 (* A structured simulation error, enriched — when a trace was being
    recorded — with the last events seen on the offending channels (the

@@ -31,10 +31,13 @@ val run_script : session -> string list -> (string list, string) result
 (** The current design (for tests and embedding). *)
 val current : session -> Netlist.t option
 
+(** The help text, rendered from the interpreter's command table: every
+    entry's help lines, in table order.  A command's usage error quotes
+    the synopses of its own lines. *)
 val help : string
 
-(** Every first word the interpreter dispatches on, in help order.  The
+(** Every first word the interpreter dispatches on, in help order, read
+    from the same command table as {!help} and the dispatcher.  The
     help-coverage test checks each appears in {!help} and is accepted by
-    {!execute} (i.e. never answers "unknown command"), so the command
-    surface and the help text cannot drift apart. *)
+    {!execute} (i.e. never answers "unknown command"). *)
 val commands : string list

@@ -58,11 +58,11 @@ let fresh_violations ~ref_viols ~flt_viols =
     (fun fv -> not (List.exists (fun rv -> key rv = key fv) ref_viols))
     flt_viols
 
-let check ?(cycles = 300) ?(settle = 60) ?(alarms = []) ?mode ?observer net
+let check ?(cycles = 300) ?(settle = 60) ?(alarms = []) ?observer net
     ~faults =
   let plan = Fault.plan net faults in
-  let refe = Engine.create ~monitor:true ?mode net in
-  let flt = Engine.create ~monitor:true ?mode net in
+  let refe = Engine.create ~monitor:true net in
+  let flt = Engine.create ~monitor:true net in
   Engine.set_injector flt (Some (Fault.injector plan));
   (match observer with
    | None -> ()

@@ -46,8 +46,6 @@ val pp_report : Format.formatter -> report -> unit
     data outputs: their streams are excluded from equivalence checking
     and the fault counts as [Detected] when the predicate holds for more
     faulted-run values than reference-run values.
-    @param mode engine evaluation strategy for both runs (default
-    {!Elastic_sim.Engine.default_mode}); exposed for differential tests.
     @param observer called once with the {e faulted} engine before the
     first cycle, so a tracer (e.g. [Elastic_trace.Tracer.attach]) can be
     installed and the injected fault's propagation recorded; the
@@ -56,7 +54,6 @@ val check :
   ?cycles:int ->
   ?settle:int ->
   ?alarms:(Netlist.node_id * (Value.t -> bool)) list ->
-  ?mode:Elastic_sim.Engine.eval_mode ->
   ?observer:(Elastic_sim.Engine.t -> unit) ->
   Netlist.t ->
   faults:Fault.t list ->

@@ -156,6 +156,11 @@ let run_pair ~name ?(cycles = 200) ?faults net =
       (Fmt.str "%s: trace event stream" name)
       (Jsonl.to_string net (Tracer.events rf.h_tracer))
       (Jsonl.to_string net (Tracer.events ar.h_tracer));
+    (* The shell's stats report, rendered from each backend. *)
+    Alcotest.(check string)
+      (Fmt.str "%s: stats report" name)
+      (Fmt.str "%a" Stats.pp (Stats.collect er))
+      (Fmt.str "%a" Stats.pp (Stats.collect ea));
     let keep n = not (eval_cost_family n) in
     Alcotest.(check string)
       (Fmt.str "%s: metrics snapshot" name)

@@ -216,7 +216,18 @@ let suite =
           (fun needle ->
              Alcotest.(check bool) needle true (Helpers.contains out needle))
           [ "cycle 50"; "cycle 100"; "sink"; "sched"; "replay p50/p99";
-            "watched 100 cycles" ]);
+            "watched 100 cycles" ];
+        (* fig1a's marked-graph bound is 1.000: a frame's rate divides its
+           transfers by the frame's own cycle count. *)
+        let _ = exec s "load fig1a" in
+        let _ = exec s "trace on" in
+        let out = exec s "watch 40 20" in
+        List.iter
+          (fun needle ->
+             Alcotest.(check bool) needle true (Helpers.contains out needle))
+          [ "1.000 tok/cyc (20 transfers)"; "1.000 tok/cyc (40 transfers)" ];
+        Alcotest.(check bool) "trace on records the watched run" true
+          (Helpers.contains (exec s "trace dump 5") "events recorded"));
     Alcotest.test_case "campaign --par matches the sequential campaign"
       `Quick (fun () ->
         let s = Shell.create () in
@@ -292,53 +303,76 @@ let suite =
         | Error m ->
           Alcotest.(check bool) "line provenance" true
             (Helpers.contains m "line 4"));
-    Alcotest.test_case "mode command selects the engine backend" `Quick
+    (* Optional integer arguments share one parser: a typed error on a
+       non-integer or out-of-range value, the usage line on extra words. *)
+    Alcotest.test_case "optional integers are parsed strictly" `Quick
       (fun () ->
         let s = Shell.create () in
-        let set = exec s "mode reference" in
-        Alcotest.(check bool) "confirms reference" true
-          (Helpers.contains set "reference");
-        Alcotest.(check string) "sticky" "mode: reference" (exec s "mode");
-        let set = exec s "mode arena" in
-        Alcotest.(check bool) "confirms arena" true
-          (Helpers.contains set "arena");
-        Alcotest.(check string) "sticky" "mode: arena" (exec s "mode");
-        (* Simulation commands run on the selected backend. *)
         let _ = exec s "load fig1a" in
-        let out = exec s "throughput 100" in
-        Alcotest.(check bool) "throughput still reports the sink" true
-          (Helpers.contains out "out:"));
-    Alcotest.test_case "mode arena matches reference reports" `Quick
+        List.iter
+          (fun (line, needle) ->
+             let m = expect_error s line in
+             Alcotest.(check bool) (line ^ " -> " ^ m) true
+               (Helpers.contains m needle))
+          [ ("stats abc", "cycles must be an integer, got \"abc\"");
+            ("profile x", "cycles must be an integer, got \"x\"");
+            ("throughput -5", "cycles must be >= 0");
+            ("stats 1 2", "usage: stats [cycles]");
+            ("trace off x", "usage: trace [cycles] | trace on [capacity]");
+            ("trace zz", "cycles must be an integer, got \"zz\"");
+            ("trace dump -1", "count must be >= 0");
+            ("trace on 0", "capacity must be >= 1");
+            ("watch 40 0", "every must be >= 1");
+            ("watch 1 2 3", "usage: watch [cycles] [every]");
+            ("spans on 0", "capacity must be >= 1");
+            ("serve -1", "port must be >= 0");
+            ("serve 1 2", "usage: serve [port] | serve stop") ]);
+    Alcotest.test_case "usage errors come from the help table" `Quick
       (fun () ->
-        let report mode =
-          let s = Shell.create () in
-          let _ = exec s ("mode " ^ mode) in
-          let _ = exec s "load rs-spec" in
-          (exec s "throughput 200", exec s "stats 200")
+        let s = Shell.create () in
+        let _ = exec s "load fig1a" in
+        Alcotest.(check string) "synopsis of the command's help line"
+          "usage: vcd <file> [cycles]" (expect_error s "vcd");
+        Alcotest.(check string) "every synopsis of a multi-line entry"
+          "usage: on-error continue|abort" (expect_error s "on-error bogus");
+        (* open and redo are documented on their neighbours' lines. *)
+        Alcotest.(check string) "open shares the save line"
+          "usage: save <file> / open <file>" (expect_error s "open");
+        Alcotest.(check string) "redo shares the undo line"
+          "usage: undo / redo" (expect_error s "redo now");
+        Alcotest.(check bool) "unknown commands still point at help" true
+          (Helpers.contains (expect_error s "mode") "unknown command"));
+    Alcotest.test_case "speculate rejects bad schedulers and arities" `Quick
+      (fun () ->
+        let s = Shell.create () in
+        let _ = exec s "load fig1a" in
+        let before = Netlist.node_count (Option.get (Shell.current s)) in
+        Alcotest.(check string) "unknown scheduler"
+          "unknown scheduler \"bogus\"" (expect_error s "speculate mux bogus");
+        Alcotest.(check string) "too many arguments"
+          "usage: speculate [mux] [sched]" (expect_error s "speculate a b c");
+        Alcotest.(check int) "design unchanged" before
+          (Netlist.node_count (Option.get (Shell.current s)));
+        ignore (expect_error s "undo");
+        (* The valid forms still apply the recipe. *)
+        Alcotest.(check bool) "mux + scheduler" true
+          (Helpers.contains (exec s "speculate mux toggle")
+             "speculation applied"));
+    (* README section 2's walkthrough script, line for line. *)
+    Alcotest.test_case "examples/explore.ect runs" `Quick (fun () ->
+        let ic = open_in "../examples/explore.ect" in
+        let rec read acc =
+          match input_line ic with
+          | line -> read (line :: acc)
+          | exception End_of_file ->
+            close_in ic;
+            List.rev acc
         in
-        let thr_r, stats_r = report "reference" in
-        let thr_a, stats_a = report "arena" in
-        Alcotest.(check string) "throughput identical" thr_r thr_a;
-        Alcotest.(check string) "stats identical" stats_r stats_a);
-    Alcotest.test_case "bare mode shows arena; levelized is gone" `Quick
-      (fun () ->
-        let s = Shell.create () in
-        Alcotest.(check string) "default shown" "mode: arena" (exec s "mode");
-        (* The removed backend's name is an unknown mode like any other. *)
-        let m = expect_error s "mode levelized" in
-        Alcotest.(check bool) "unknown mode error" true
-          (Helpers.contains m "unknown mode \"levelized\"");
-        Alcotest.(check string) "default survives" "mode: arena"
-          (exec s "mode"));
-    Alcotest.test_case "mode rejects unknown backends" `Quick (fun () ->
-        let s = Shell.create () in
-        let m = expect_error s "mode warp-speed" in
-        Alcotest.(check bool) "names the bad mode" true
-          (Helpers.contains m "warp-speed");
-        Alcotest.(check bool) "lists the choices" true
-          (Helpers.contains m "arena");
-        (* A failed [mode] leaves the previous selection in place. *)
-        let _ = exec s "mode reference" in
-        let _ = expect_error s "mode bogus" in
-        Alcotest.(check string) "selection survives" "mode: reference"
-          (exec s "mode")) ]
+        match Shell.run_script (Shell.create ()) (read []) with
+        | Error m -> Alcotest.fail m
+        | Ok outputs ->
+          let all = String.concat "\n" outputs in
+          List.iter
+            (fun needle ->
+               Alcotest.(check bool) needle true (Helpers.contains all needle))
+            [ "speculation applied"; "simulated 300 cycles" ]) ]
