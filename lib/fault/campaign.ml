@@ -30,11 +30,11 @@ let pp_summary ppf s =
     s.histogram
 
 let run ?cycles ?settle ?alarms net ~scenarios =
+  let golden = Recovery.golden ?cycles ?alarms net in
   let outcomes =
     List.map
       (fun faults ->
-         { faults;
-           report = Recovery.check ?cycles ?settle ?alarms net ~faults })
+         { faults; report = Recovery.check_against ?settle golden ~faults })
       scenarios
   in
   let histogram =

@@ -4,9 +4,9 @@ open Elastic_netlist
 (** Deterministic seeded fault campaigns.
 
     A campaign is a list of fault scenarios (each a list of simultaneous
-    or staged faults) checked independently by {!Recovery.check} against
-    a fresh engine pair; the same seed always generates the same
-    scenarios and hence the same report. *)
+    or staged faults), each checked independently by
+    {!Recovery.check_against} on a fresh faulted engine; the same seed
+    always generates the same scenarios and hence the same report. *)
 
 type outcome = { faults : Fault.t list; report : Recovery.report }
 
@@ -26,6 +26,12 @@ val count : summary -> string -> int
 
 val pp_summary : Format.formatter -> summary -> unit
 
+(** [run net ~scenarios] computes one {!val:Recovery.golden} for
+    [cycles] and [alarms], before the first scenario, and checks every
+    scenario against it in order; the outcomes equal one
+    {!Recovery.check} per scenario.
+    @raise Elastic_sim.Engine.Simulation_error when the reference run
+    fails or an alarm is not a sink, even for an empty [scenarios]. *)
 val run :
   ?cycles:int ->
   ?settle:int ->

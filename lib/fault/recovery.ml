@@ -58,39 +58,26 @@ let fresh_violations ~ref_viols ~flt_viols =
     (fun fv -> not (List.exists (fun rv -> key rv = key fv) ref_viols))
     flt_viols
 
-let check ?(cycles = 300) ?(settle = 60) ?(alarms = []) ?observer net
-    ~faults =
-  let plan = Fault.plan net faults in
-  let refe = Engine.create ~monitor:true net in
-  let flt = Engine.create ~monitor:true net in
-  Engine.set_injector flt (Some (Fault.injector plan));
-  (match observer with
-   | None -> ()
-   | Some attach -> attach flt);
-  let crash = ref None in
-  let step_faulted () =
-    if !crash = None then
-      try
-        Engine.step
-          ~choices:(fun nid ->
-              Fault.choices plan ~cycle:(Engine.cycle flt) nid)
-          flt;
-        Fault.observe plan flt
-      with
-      | Engine.Simulation_error e ->
-        crash := Some (Engine.error_to_string e)
-      | e -> crash := Some (Printexc.to_string e)
-  in
-  for _ = 1 to cycles do
-    Engine.step refe;
-    step_faulted ()
-  done;
-  (* Let the faulted engine drain: a replayed token arrives late, so give
-     it a settle window before declaring transfers lost. *)
-  for _ = 1 to settle do
-    step_faulted ()
-  done;
-  let alarm_ids = List.map fst alarms in
+type golden = {
+  g_net : Netlist.t;
+  g_cycles : int;
+  g_alarms : (Netlist.node_id * (Value.t -> bool)) list;
+  g_sinks : (Netlist.node * Transfer.entry list) list;
+      (* data sinks in netlist order, with their reference streams *)
+  g_transfers : int;
+  g_violations : (string * Protocol.violation) list;
+  g_starvation : string list;
+  g_alarm_trips : int;
+}
+
+let alarm_trips alarms eng =
+  List.fold_left
+    (fun acc (nid, pred) ->
+       let entries = Transfer.entries (Engine.sink_stream eng nid) in
+       acc + List.length (List.filter (fun e -> pred e.Transfer.value) entries))
+    0 alarms
+
+let golden ?(cycles = 300) ?(alarms = []) net =
   let sinks =
     List.filter
       (fun (n : Netlist.node) ->
@@ -99,39 +86,89 @@ let check ?(cycles = 300) ?(settle = 60) ?(alarms = []) ?observer net
          | _ -> false)
       (Netlist.nodes net)
   in
-  let data_sinks =
-    List.filter
-      (fun (n : Netlist.node) -> not (List.mem n.Netlist.id alarm_ids))
+  (* A misnamed alarm would otherwise surface only after the whole run,
+     or never when an earlier verdict short-circuits the alarm count. *)
+  List.iter
+    (fun (nid, _) ->
+       match
+         List.find_opt
+           (fun (n : Netlist.node) -> n.Netlist.id = nid)
+           (Netlist.nodes net)
+       with
+       | Some { Netlist.kind = Netlist.Sink _; _ } -> ()
+       | found ->
+         let name =
+           match found with
+           | Some n -> Fmt.str " (%s)" n.Netlist.name
+           | None -> ""
+         in
+         raise
+           (Engine.Simulation_error
+              { Engine.err_cycle = 0; err_node = Some nid; err_channel = None;
+                err_code = None;
+                err_msg = Fmt.str "alarm node %d%s is not a sink" nid name }))
+    alarms;
+  let refe = Engine.create ~monitor:true net in
+  for _ = 1 to cycles do
+    Engine.step refe
+  done;
+  let g_sinks =
+    List.filter_map
+      (fun (n : Netlist.node) ->
+         if List.mem_assoc n.Netlist.id alarms then None
+         else
+           Some (n, Transfer.entries (Engine.sink_stream refe n.Netlist.id)))
       sinks
   in
-  let stream_len eng nid = Transfer.length (Engine.sink_stream eng nid) in
-  let ref_transfers =
-    List.fold_left
-      (fun a (n : Netlist.node) -> a + stream_len refe n.Netlist.id)
-      0 data_sinks
+  { g_net = net;
+    g_cycles = cycles;
+    g_alarms = alarms;
+    g_sinks;
+    g_transfers =
+      List.fold_left (fun a (_, es) -> a + List.length es) 0 g_sinks;
+    g_violations = Engine.violations refe;
+    g_starvation = Engine.starvation_violations refe;
+    g_alarm_trips = alarm_trips alarms refe }
+
+let check_against ?(settle = 60) ?observer g ~faults =
+  let net = g.g_net in
+  let plan = Fault.plan net faults in
+  let flt = Engine.create ~monitor:true net in
+  Engine.set_injector flt (Some (Fault.injector plan));
+  (match observer with
+   | None -> ()
+   | Some attach -> attach flt);
+  (* The first [g_cycles] cycles mirror the reference run; the [settle]
+     more let the faulted engine drain: a replayed token arrives late, so
+     give it a settle window before declaring transfers lost. *)
+  let crash =
+    match
+      for _ = 1 to g.g_cycles + settle do
+        Engine.step
+          ~choices:(fun nid ->
+              Fault.choices plan ~cycle:(Engine.cycle flt) nid)
+          flt;
+        Fault.observe plan flt
+      done
+    with
+    | () -> None
+    | exception Engine.Simulation_error e -> Some (Engine.error_to_string e)
+    | exception e -> Some (Printexc.to_string e)
   in
   let faulted_transfers =
     List.fold_left
-      (fun a (n : Netlist.node) -> a + stream_len flt n.Netlist.id)
-      0 data_sinks
+      (fun a ((n : Netlist.node), _) ->
+         a + Transfer.length (Engine.sink_stream flt n.Netlist.id))
+      0 g.g_sinks
   in
   let fresh =
-    fresh_violations ~ref_viols:(Engine.violations refe)
+    fresh_violations ~ref_viols:g.g_violations
       ~flt_viols:(Engine.violations flt)
   in
   let fresh_starvation =
     List.filter
-      (fun s -> not (List.mem s (Engine.starvation_violations refe)))
+      (fun s -> not (List.mem s g.g_starvation))
       (Engine.starvation_violations flt)
-  in
-  let alarm_trips eng =
-    List.fold_left
-      (fun acc (nid, pred) ->
-         let entries = Transfer.entries (Engine.sink_stream eng nid) in
-         acc
-         + List.length
-             (List.filter (fun e -> pred e.Transfer.value) entries))
-      0 alarms
   in
   let monitor_detection () =
     match fresh with
@@ -155,15 +192,14 @@ let check ?(cycles = 300) ?(settle = 60) ?(alarms = []) ?observer net
       (match fresh_starvation with
        | s :: _ -> Some (Fmt.str "starvation watchdog: %s" s)
        | [] ->
-         let ref_trips = alarm_trips refe and flt_trips = alarm_trips flt in
-         if flt_trips > ref_trips then
+         let trips = alarm_trips g.g_alarms flt - g.g_alarm_trips in
+         if trips > 0 then
            Some
-             (Fmt.str "alarm sink tripped %d time%s" (flt_trips - ref_trips)
-                (if flt_trips - ref_trips = 1 then "" else "s"))
+             (Fmt.str "alarm sink tripped %d time%s" trips
+                (if trips = 1 then "" else "s"))
          else None)
   in
-  let compare_sink (n : Netlist.node) =
-    let re = Transfer.entries (Engine.sink_stream refe n.Netlist.id) in
+  let compare_sink ((n : Netlist.node), re) =
     let fe = Transfer.entries (Engine.sink_stream flt n.Netlist.id) in
     let rec go i lag rs fs =
       match (rs, fs) with
@@ -190,13 +226,13 @@ let check ?(cycles = 300) ?(settle = 60) ?(alarms = []) ?observer net
     go 0 0 re fe
   in
   let classification =
-    match !crash with
+    match crash with
     | Some why -> Crashed why
     | None ->
       (match monitor_detection () with
        | Some why -> Detected why
        | None ->
-         let results = List.map compare_sink data_sinks in
+         let results = List.map compare_sink g.g_sinks in
          let mismatch =
            List.find_map
              (function `Mismatch m -> Some m | _ -> None)
@@ -229,6 +265,9 @@ let check ?(cycles = 300) ?(settle = 60) ?(alarms = []) ?observer net
   in
   { classification;
     fault_desc = List.map (Fault.describe net) faults;
-    ref_transfers;
+    ref_transfers = g.g_transfers;
     faulted_transfers;
     fresh_violations = fresh }
+
+let check ?cycles ?settle ?alarms ?observer net ~faults =
+  check_against ?settle ?observer (golden ?cycles ?alarms net) ~faults

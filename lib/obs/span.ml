@@ -4,6 +4,7 @@ type kind =
   | Campaign
   | Shard
   | Attempt
+  | Reference_run
   | Compile
   | Settle
   | Checkpoint_write
@@ -13,6 +14,7 @@ let kind_name = function
   | Campaign -> "campaign"
   | Shard -> "shard"
   | Attempt -> "attempt"
+  | Reference_run -> "reference-run"
   | Compile -> "compile"
   | Settle -> "settle"
   | Checkpoint_write -> "checkpoint-write"

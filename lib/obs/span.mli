@@ -2,9 +2,9 @@
 
     A span is one finished, named interval on the injectable monotonic
     {!Elastic_sim.Clock} — a campaign, a shard, one attempt at a shard,
-    or a phase inside an attempt (compile, settle, checkpoint write,
-    backoff sleep).  Spans carry a trace id shared by every span of one
-    run, their own id, a parent id forming the
+    or a phase inside an attempt (reference run, compile, settle,
+    checkpoint write, backoff sleep).  Spans carry a trace id shared by
+    every span of one run, their own id, a parent id forming the
     [campaign -> shard -> attempt -> phase] hierarchy, a track (the
     worker/domain that produced them) and typed attributes (worker id,
     retry count, failure classification, deadline margin, ...).
@@ -18,6 +18,9 @@ type kind =
   | Campaign
   | Shard
   | Attempt
+  | Reference_run
+      (** a campaign's fault-free golden run, in the attempt that
+          computed it *)
   | Compile  (** engine construction: netlist -> schedule/arena *)
   | Settle  (** combinational settle phases of a simulation window *)
   | Checkpoint_write

@@ -4,13 +4,13 @@ module Sampler = Elastic_metrics.Sampler
 module Recorder = Elastic_obs.Recorder
 module Span = Elastic_obs.Span
 
-(* Phase spans are synthesized after the fact from the engine's own
-   Profile totals (captured via Recovery.check ~observer), never by
-   timing the hot loop here: with spans off the settle loop sees zero
-   extra clock reads and zero extra allocation.  The emitted intervals
-   are laid end to end from the observed start and clamped to the
-   observed end, so they stay well nested under the attempt span even
-   when profile totals and wall time disagree by a rounding error. *)
+(* Phase spans are synthesized after the fact from the faulted engine's
+   own Profile totals (captured via Recovery.check_against ~observer),
+   never by timing the hot loop here: with spans off the settle loop
+   sees zero extra clock reads and zero extra allocation.  The emitted
+   intervals are laid end to end from the observed start and clamped to
+   the observed end, so they stay well nested under the attempt span
+   even when profile totals and wall time disagree by a rounding error. *)
 let emit_phases (rc, attempt_id) ~t0 ~t1 profile =
   let ns s = Int64.of_float (s *. 1e9) in
   let c_end =
@@ -28,7 +28,24 @@ let emit_phases (rc, attempt_id) ~t0 ~t1 profile =
   Recorder.emit rc ~parent:attempt_id Span.Settle "settle" ~start_ns:c_end
     ~end_ns:s_end
 
+(* A domain-safe once-cell: the first call computes [f ()] and
+   publishes it, later calls read it.  Not [Lazy]: forcing one lazy
+   value from two domains at once raises [CamlinternalLazy.Undefined].
+   Workers that race both compute the same deterministic value, and a
+   computation that raises publishes nothing, so the next call tries
+   again.  The flag says whether this call did the computing. *)
+let once f =
+  let cell = Atomic.make None in
+  fun () ->
+    match Atomic.get cell with
+    | Some v -> (v, false)
+    | None ->
+      let v = f () in
+      ignore (Atomic.compare_and_set cell None (Some v));
+      (v, true)
+
 let of_campaign ?cycles ?settle ?alarms ~name net ~scenarios =
+  let golden = once (fun () -> Recovery.golden ?cycles ?alarms net) in
   List.mapi
     (fun i faults ->
        { Runner.id = Fmt.str "%s/%04d" name i;
@@ -44,8 +61,18 @@ let of_campaign ?cycles ?settle ?alarms ~name net ~scenarios =
                 | Some (rc, _) -> Recorder.now rc
                 | None -> 0L
               in
+              let golden, computed = golden () in
+              let t0 =
+                match ctx.obs with
+                | Some (rc, attempt_id) when computed ->
+                  let t1 = Recorder.now rc in
+                  Recorder.emit rc ~parent:attempt_id Span.Reference_run
+                    "reference-run" ~start_ns:t0 ~end_ns:t1;
+                  t1
+                | Some _ | None -> t0
+              in
               let report =
-                Recovery.check ?cycles ?settle ?alarms ~observer net ~faults
+                Recovery.check_against ?settle ~observer golden ~faults
               in
               (match ctx.obs, !profile with
                | Some ((rc, _) as obs), Some p ->

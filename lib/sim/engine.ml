@@ -29,6 +29,14 @@ let pp_error ppf e =
 
 let error_to_string e = Fmt.str "%a" pp_error e
 
+(* Errors rendered by [Printexc] — a runner shard's failure text, an
+   uncaught exception — keep their provenance instead of printing as
+   "Simulation_error(_)". *)
+let () =
+  Printexc.register_printer (function
+    | Simulation_error e -> Some (Fmt.str "Simulation_error (%a)" pp_error e)
+    | _ -> None)
+
 type injector = cycle:int -> Netlist.channel_id -> Wires.override option
 
 type eval_mode = Reference | Arena

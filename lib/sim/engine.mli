@@ -37,6 +37,9 @@ type error = {
   err_msg : string;
 }
 
+(** Registered with [Printexc], so [Printexc.to_string] (a runner
+    shard's failure text, an uncaught exception) renders the
+    provenance. *)
 exception Simulation_error of error
 
 val pp_error : Format.formatter -> error -> unit

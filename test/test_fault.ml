@@ -214,6 +214,94 @@ let test_duplicate_after_drain () =
       Recovery.pp_classification c
 
 (* ------------------------------------------------------------------ *)
+(* One golden reference, many checks                                    *)
+
+(* The fault lists of the classification tests above, on one netlist:
+   corrected, detected by alarm, detected by monitor, crashed (or
+   detected), benign mispredict. *)
+let classified_faults net =
+  let src = (channel_from net "src").Netlist.ch_id in
+  let out = (channel_into net "out").Netlist.ch_id in
+  let stage =
+    match Netlist.find_node net "stage" with
+    | Some n -> n.Netlist.id
+    | None -> Alcotest.fail "no stage node"
+  in
+  [ [ Fault.flip_bit ~channel:src ~cycle:10 17 ];
+    [ Fault.flip_bits ~channel:src ~cycle:12 [ 3; 40 ] ];
+    Fault.control_glitch ~channel:src ~cycle:20;
+    Fault.control_glitch ~channel:out ~cycle:20;
+    [ Fault.mispredict ~node:stage ~cycle:15 1 ] ]
+
+let test_check_against_golden () =
+  let check_pair (d, alarm) faults =
+    let net = d.Examples.d_net and alarms = rs_alarms alarm in
+    let fresh = Recovery.check ~cycles:120 net ~alarms ~faults in
+    let split =
+      Recovery.check_against (Recovery.golden ~cycles:120 ~alarms net)
+        ~faults
+    in
+    Alcotest.(check bool)
+      (Fmt.str "%a: same report" Recovery.pp_classification
+         fresh.Recovery.classification)
+      true (fresh = split);
+    Recovery.classification_label fresh.Recovery.classification
+  in
+  let d60 = alarmed () and d20 = alarmed ~n:20 () in
+  let labels =
+    List.map (check_pair d60) (classified_faults (fst d60).Examples.d_net)
+  in
+  let dup =
+    check_pair d20
+      [ Fault.duplicate_token
+          ~channel:(channel_from (fst d20).Examples.d_net "src").Netlist.ch_id
+          ~cycle:60 ]
+  in
+  (* Every classification the suite reaches is covered. *)
+  Alcotest.(check (list string)) "classifications"
+    [ "corrected"; "detected"; "detected"; "crashed"; "corrected";
+      "silent-corruption" ]
+    (labels @ [ dup ])
+
+let test_golden_reused () =
+  let d, alarm = alarmed () in
+  let net = d.Examples.d_net and alarms = rs_alarms alarm in
+  let golden = Recovery.golden ~cycles:120 ~alarms net in
+  let scenarios = classified_faults net in
+  let fresh =
+    List.map (fun faults -> Recovery.check ~cycles:120 net ~alarms ~faults)
+      scenarios
+  in
+  (* Forwards, then backwards: no check may leave a trace in the golden
+     that a later one sees. *)
+  let forwards =
+    List.map (fun faults -> Recovery.check_against golden ~faults) scenarios
+  in
+  let backwards =
+    List.rev_map (fun faults -> Recovery.check_against golden ~faults)
+      (List.rev scenarios)
+  in
+  Alcotest.(check bool) "forwards" true (forwards = fresh);
+  Alcotest.(check bool) "backwards" true (backwards = fresh)
+
+let test_bad_alarm_fails_fast () =
+  let d, _ = alarmed () in
+  let net = d.Examples.d_net in
+  let src =
+    match Netlist.find_node net "src" with
+    | Some n -> n.Netlist.id
+    | None -> Alcotest.fail "no src node"
+  in
+  match Recovery.golden ~alarms:[ (src, fun _ -> true) ] net with
+  | _ -> Alcotest.fail "a source is not an alarm sink"
+  | exception Engine.Simulation_error e ->
+    Alcotest.(check (option int)) "node provenance" (Some src)
+      e.Engine.err_node;
+    Alcotest.(check int) "before the first cycle" 0 e.Engine.err_cycle;
+    Alcotest.(check bool) "names the node" true
+      (Helpers.contains e.Engine.err_msg "(src) is not a sink")
+
+(* ------------------------------------------------------------------ *)
 (* Campaigns                                                            *)
 
 let test_campaign_deterministic_and_benign () =
@@ -268,6 +356,12 @@ let suite =
       test_mispredict_corrected;
     Alcotest.test_case "duplicated token -> flagged" `Quick
       test_duplicate_after_drain;
+    Alcotest.test_case "check = check_against golden, every class" `Quick
+      test_check_against_golden;
+    Alcotest.test_case "one golden reused across fault lists" `Quick
+      test_golden_reused;
+    Alcotest.test_case "non-sink alarm fails before simulating" `Quick
+      test_bad_alarm_fails_fast;
     Alcotest.test_case "seeded campaign: deterministic, benign" `Quick
       test_campaign_deterministic_and_benign;
     Alcotest.test_case "double-flip campaign: all detected" `Quick

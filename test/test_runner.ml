@@ -411,6 +411,131 @@ let test_workload_matches_sequential_campaign () =
     (Workload.classification_histogram r.Runner.r_merged
      = seq.Campaign.histogram)
 
+(* Kinds of the spans a collector recorded, in ledger order. *)
+let span_kinds c =
+  List.map (fun (s : Elastic_obs.Span.t) -> s.Elastic_obs.Span.sp_kind)
+    (Elastic_obs.Collector.spans c)
+
+let test_workload_shares_reference_run () =
+  let module Span = Elastic_obs.Span in
+  let net, alarms, scenarios = campaign_fixture ~seed:42 ~count:5 in
+  let tasks =
+    Workload.of_campaign ~cycles:90 ~alarms ~name:"once" net ~scenarios
+  in
+  let run () =
+    let c = Elastic_obs.Collector.create () in
+    let r =
+      Runner.run ~workers:1 ~sleep:sleep_stub ~obs:c ~name:"once" tasks
+    in
+    Alcotest.(check int) "all shards completed" 5 r.Runner.r_completed;
+    (r, c)
+  in
+  let r1, c1 = run () in
+  let refs =
+    List.filter
+      (fun (s : Span.t) -> s.Span.sp_kind = Span.Reference_run)
+      (Elastic_obs.Collector.spans c1)
+  in
+  (match refs with
+   | [ g ] ->
+     (* The computing attempt's faulted-engine phases follow it. *)
+     List.iter
+       (fun (s : Span.t) ->
+          if s.Span.sp_parent = g.Span.sp_parent
+             && s.Span.sp_kind = Span.Compile
+          then
+            Alcotest.(check bool) "compile starts after the reference run"
+              true (Int64.compare s.Span.sp_start_ns g.Span.sp_end_ns >= 0))
+       (Elastic_obs.Collector.spans c1)
+   | _ -> Alcotest.failf "expected one reference-run span, got %d"
+            (List.length refs));
+  Alcotest.(check int) "campaign + 4 per shard + 1 reference run"
+    (1 + (4 * 5) + 1)
+    (Elastic_obs.Collector.recorded c1);
+  (* The same task list again: the golden is already there. *)
+  let r2, c2 = run () in
+  Alcotest.(check bool) "no second reference run" false
+    (List.mem Span.Reference_run (span_kinds c2));
+  Alcotest.(check bool) "same merge" true
+    (r1.Runner.r_merged = r2.Runner.r_merged)
+
+let test_workload_failing_reference () =
+  (* A graft with a combinational cycle: the fault-free engine raises a
+     typed E102 on its first step. *)
+  let net =
+    (List.find
+       (fun (m : Elastic_lint.Mutate.t) ->
+          m.Elastic_lint.Mutate.m_code = "E102")
+       Elastic_lint.Mutate.catalogue)
+      .Elastic_lint.Mutate.m_net ()
+  in
+  let expected =
+    match Recovery.check ~cycles:90 net ~faults:[] with
+    | _ -> Alcotest.fail "the reference run should fail"
+    | exception e -> Printexc.to_string e
+  in
+  Alcotest.(check bool) "typed failure with its code" true
+    (Helpers.contains expected "E102");
+  (* Building the tasks simulates nothing, so it cannot raise. *)
+  let tasks =
+    Workload.of_campaign ~cycles:90 ~name:"bad" net ~scenarios:[ []; []; [] ]
+  in
+  let r = Runner.run ~workers:2 ~sleep:sleep_stub ~name:"bad" tasks in
+  Alcotest.(check int) "every shard failed" 3 r.Runner.r_failed;
+  List.iter
+    (fun (sh : Runner.shard) ->
+       match sh.Runner.sh_status with
+       | Runner.Failed f ->
+         Alcotest.(check string) "same failure as Recovery.check" expected
+           f.Runner.f_exn;
+         Alcotest.(check bool) "permanent" true
+           (f.Runner.f_class = Runner.Permanent)
+       | Runner.Completed _ | Runner.Not_run ->
+         Alcotest.failf "shard %s did not fail" sh.Runner.sh_id)
+    r.Runner.r_shards
+
+let test_workload_failed_reference_not_cached () =
+  let net, alarms, scenarios = campaign_fixture ~seed:42 ~count:4 in
+  (* An alarm predicate that raises on its first call only, which is in
+     the first reference run. *)
+  let calls = ref 0 in
+  let flaky =
+    List.map
+      (fun (nid, pred) ->
+         ( nid,
+           fun v ->
+             incr calls;
+             if !calls = 1 then failwith "flaky alarm";
+             pred v ))
+      alarms
+  in
+  let tasks =
+    Workload.of_campaign ~cycles:90 ~alarms:flaky ~name:"flaky" net
+      ~scenarios
+  in
+  let c = Elastic_obs.Collector.create () in
+  let r =
+    Runner.run ~workers:1 ~sleep:sleep_stub ~obs:c ~name:"flaky" tasks
+  in
+  (match (List.hd r.Runner.r_shards).Runner.sh_status with
+   | Runner.Failed f ->
+     Alcotest.(check bool) "first shard carries the failure" true
+       (Helpers.contains f.Runner.f_exn "flaky alarm")
+   | Runner.Completed _ | Runner.Not_run ->
+     Alcotest.fail "the first shard should fail");
+  (* The failure was not kept: the next shard ran the reference again
+     and every later shard used it. *)
+  Alcotest.(check int) "the others completed" 3 r.Runner.r_completed;
+  Alcotest.(check int) "one successful reference run" 1
+    (List.length
+       (List.filter (( = ) Elastic_obs.Span.Reference_run) (span_kinds c)));
+  let seq =
+    Campaign.run ~cycles:90 net ~alarms ~scenarios:(List.tl scenarios)
+  in
+  Alcotest.(check bool) "histogram of the completed shards" true
+    (Workload.classification_histogram r.Runner.r_merged
+     = seq.Campaign.histogram)
+
 let qcheck_equivalence =
   QCheck.Test.make ~count:6
     ~name:"chaos: kill + resume == uninterrupted, at any worker count"
@@ -523,6 +648,12 @@ let suite =
       test_runner_health_metrics;
     Alcotest.test_case "runner campaign == sequential campaign" `Quick
       test_workload_matches_sequential_campaign;
+    Alcotest.test_case "campaign tasks share one reference run" `Quick
+      test_workload_shares_reference_run;
+    Alcotest.test_case "a failing reference run fails every shard" `Quick
+      test_workload_failing_reference;
+    Alcotest.test_case "a failed reference run is not cached" `Quick
+      test_workload_failed_reference_not_cached;
     QCheck_alcotest.to_alcotest qcheck_equivalence;
     Alcotest.test_case "max_cycles raises typed E110" `Quick
       test_engine_max_cycles;
