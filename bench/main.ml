@@ -34,10 +34,8 @@ module Json = struct
   include Elastic_metrics.Json
 
   let write path t =
-    let oc = open_out path in
-    output_string oc (to_string ~indent:2 t);
-    output_char oc '\n';
-    close_out oc
+    Out_channel.with_open_text path (fun oc ->
+        Out_channel.output_string oc (to_string ~indent:2 t ^ "\n"))
 end
 
 module Metr = Elastic_metrics
@@ -200,12 +198,10 @@ let metrics_record ~artifact ~cycles net =
     (Some (Metr.Sampler.observe sampler));
   Elastic_sim.Engine.run eng cycles;
   let samples = Metr.Sampler.sample sampler eng in
-  let oc = open_out (artifact ^ ".prom") in
-  output_string oc (Metr.Prometheus.render samples);
-  close_out oc;
-  let oc = open_out (artifact ^ ".jsonl") in
-  Buffer.output_buffer oc jsonl;
-  close_out oc;
+  Out_channel.with_open_text (artifact ^ ".prom") (fun oc ->
+      Out_channel.output_string oc (Metr.Prometheus.render samples));
+  Out_channel.with_open_text (artifact ^ ".jsonl") (fun oc ->
+      Buffer.output_buffer oc jsonl);
   Fmt.pr "wrote %s.prom and %s.jsonl (%d windows)@." artifact artifact
     !windows;
   let scheds =
@@ -473,6 +469,23 @@ let e5_fig6 () =
 (* ------------------------------------------------------------------ *)
 (* E6: resilient adder                                                  *)
 
+(* One Fig. 7 design run for [2 * n] cycles: every sum must match the
+   reference; returns the windowed throughput and the cycle of the
+   first delivery (-1 when nothing arrived). *)
+let e6_measure ~n ops (d : Examples.design) =
+  let eng = Elastic_sim.Engine.create d.Examples.d_net in
+  Elastic_sim.Engine.run eng (2 * n);
+  let stream = Elastic_sim.Engine.sink_stream eng d.Examples.d_sink in
+  assert
+    (List.equal Value.equal (Transfer.values stream)
+       (Examples.rs_reference ops));
+  let first =
+    match Transfer.entries stream with
+    | e :: _ -> e.Transfer.cycle
+    | [] -> -1
+  in
+  (Elastic_sim.Engine.windowed_throughput eng d.Examples.d_sink, first)
+
 let e6_fig7 () =
   section "E6: Fig. 7 / Sec. 5.2 — SECDED-protected adder";
   let n = 400 in
@@ -480,23 +493,8 @@ let e6_fig7 () =
   List.iter
     (fun pct ->
        let ops = Examples.rs_ops ~error_rate_pct:pct ~seed:5 n in
-       let measure (d : Examples.design) =
-         let eng = Elastic_sim.Engine.create d.Examples.d_net in
-         Elastic_sim.Engine.run eng (2 * n);
-         let stream = Elastic_sim.Engine.sink_stream eng d.Examples.d_sink in
-         assert
-           (List.equal Value.equal (Transfer.values stream)
-              (Examples.rs_reference ops));
-         let first =
-           match Transfer.entries stream with
-           | e :: _ -> e.Transfer.cycle
-           | [] -> -1
-         in
-         (Elastic_sim.Engine.windowed_throughput eng d.Examples.d_sink,
-          first)
-       in
-       let tn, ln = measure (Examples.rs_nonspeculative ~ops) in
-       let ts, ls = measure (Examples.rs_speculative ~ops) in
+       let tn, ln = e6_measure ~n ops (Examples.rs_nonspeculative ~ops) in
+       let ts, ls = e6_measure ~n ops (Examples.rs_speculative ~ops) in
        Fmt.pr "  %-5d |            %.3f   %d   |                 %.3f   \
                %d@."
          pct tn ln ts ls)
@@ -520,15 +518,14 @@ let e6_fig7 () =
 (* glitch must be flagged by the SELF protocol monitors with            *)
 (* cycle/node/channel provenance.                                       *)
 
-let e7_faults () =
-  let open Elastic_fault in
-  section "E7: Sec. 5.2 under adversarial fault injection";
-  let seed = 2009 in
-  let n = 400 in
-  let ops = Examples.rs_ops ~error_rate_pct:0 ~seed:5 n in
+(* The SECDED setup shared by E7, E8, E10 and --chaos: the speculative
+   resilient adder over 400 operand pairs, its severity alarm tripping
+   at >= 2, and the operand bus out of [src] (two SECDED(72,64)
+   codewords, 144 payload bits) where the upsets land. *)
+let secded_setup () =
+  let ops = Examples.rs_ops ~error_rate_pct:0 ~seed:5 400 in
   let d, alarm = Examples.rs_speculative_alarmed ~ops in
   let net = d.Examples.d_net in
-  let alarms = [ (alarm, fun v -> Value.to_int v >= 2) ] in
   let src = Option.get (Netlist.find_node net "src") in
   let op_bus =
     List.find
@@ -536,10 +533,17 @@ let e7_faults () =
          c.Netlist.src.Netlist.ep_node = src.Netlist.id)
       (Netlist.channels net)
   in
+  (net, [ (alarm, fun v -> Value.to_int v >= 2) ], op_bus.Netlist.ch_id)
+
+let e7_faults () =
+  let open Elastic_fault in
+  section "E7: Sec. 5.2 under adversarial fault injection";
+  let seed = 2009 in
+  let net, alarms, op_bus = secded_setup () in
   (* 1. 120 seeded single-bit upsets anywhere in the 144-bit operand
      payload (2 x SECDED(72,64) codewords). *)
   let singles =
-    Campaign.random_bitflips ~net ~channel:op_bus.Netlist.ch_id ~seed
+    Campaign.random_bitflips ~net ~channel:op_bus ~seed
       ~count:120 ~from_cycle:2 ~to_cycle:350 ~bit_hi:144 ()
   in
   let s1 = Campaign.run ~cycles:450 ~settle:60 ~alarms net ~scenarios:singles in
@@ -550,7 +554,7 @@ let e7_faults () =
   (* 2. 40 double-bit upsets inside one codeword: beyond correction,
      within detection. *)
   let doubles =
-    Campaign.random_double_flips ~net ~channel:op_bus.Netlist.ch_id ~seed
+    Campaign.random_double_flips ~net ~channel:op_bus ~seed
       ~count:40 ~from_cycle:2 ~to_cycle:350 ~bit_lo:0 ~bit_hi:72 ()
   in
   let s2 = Campaign.run ~cycles:450 ~settle:60 ~alarms net ~scenarios:doubles in
@@ -561,7 +565,7 @@ let e7_faults () =
      token on the operand bus — a Retry+ persistence violation. *)
   let r =
     Recovery.check ~cycles:450 ~settle:60 ~alarms net
-      ~faults:(Fault.control_glitch ~channel:op_bus.Netlist.ch_id ~cycle:25)
+      ~faults:(Fault.control_glitch ~channel:op_bus ~cycle:25)
   in
   Fmt.pr "@.  control-wire glitch:@.%a@." Recovery.pp_report r;
   assert (
@@ -589,19 +593,9 @@ module Rcheckpoint = Elastic_runner.Checkpoint
    the speculative resilient adder, severity alarm at >= 2. *)
 let secded_tasks ~count () =
   let open Elastic_fault in
-  let ops = Examples.rs_ops ~error_rate_pct:0 ~seed:5 400 in
-  let d, alarm = Examples.rs_speculative_alarmed ~ops in
-  let net = d.Examples.d_net in
-  let alarms = [ (alarm, fun v -> Value.to_int v >= 2) ] in
-  let src = Option.get (Netlist.find_node net "src") in
-  let op_bus =
-    List.find
-      (fun (c : Netlist.channel) ->
-         c.Netlist.src.Netlist.ep_node = src.Netlist.id)
-      (Netlist.channels net)
-  in
+  let net, alarms, op_bus = secded_setup () in
   let scenarios =
-    Campaign.random_bitflips ~net ~channel:op_bus.Netlist.ch_id ~seed:2009
+    Campaign.random_bitflips ~net ~channel:op_bus ~seed:2009
       ~count ~from_cycle:2 ~to_cycle:350 ~bit_hi:144 ()
   in
   Workload.of_campaign ~cycles:450 ~settle:60 ~alarms ~name:"secded" net
@@ -618,6 +612,8 @@ let no_sleep _ = ()
 (* The resumed run's merged snapshot must be byte-identical to an       *)
 (* uninterrupted clean run, and a permanently-poisoned shard must fail  *)
 (* alone.  Artifacts: CHAOS_checkpoint.jsonl + CHAOS_report.json.       *)
+
+let chaos_schema = "elastic-speculation/chaos/v1"
 
 let chaos_mode ~quick () =
   section "--chaos: supervised campaign under injected worker faults";
@@ -692,9 +688,8 @@ let chaos_mode ~quick () =
          iso.Runner.r_shards
   in
   Json.write "CHAOS_report.json"
-    (Json.Obj
-       [ ("schema", Json.Str "elastic-speculation/chaos/v1");
-         ("scenarios", Json.Int count);
+    (Json.Jsonl.tag ~schema:chaos_schema
+       [ ("scenarios", Json.Int count);
          ("workers", Json.Int workers);
          ("parallel_backend",
           Json.Bool Elastic_runner.Pool_backend.parallel);
@@ -856,16 +851,13 @@ let bechamel_suite () =
 let run_mode = ref "full"
 
 let record ~experiment ~title fields =
-  Json.Obj
-    (("schema", Json.Str "elastic-speculation/bench/v1")
-     :: ("experiment", Json.Str experiment)
-     :: ("title", Json.Str title)
-     :: ("mode", Json.Str !run_mode)
-     :: fields)
+  Metr.Gate.record ~experiment ~title ~mode:!run_mode fields
 
+(* Each point builds its own task list, so every run computes its own
+   golden reference and the points time the same work. *)
 let json_e8 ~count () =
-  let tasks = secded_tasks ~count () in
   let run_at w =
+    let tasks = secded_tasks ~count () in
     let t0 = Elastic_sim.Clock.monotonic () in
     let r =
       Runner.run ~workers:w ~sleep:no_sleep ~name:(Fmt.str "e8-w%d" w) tasks
@@ -999,25 +991,8 @@ let json_e6 ~n ~pcts ?artifact () =
     List.map
       (fun pct ->
          let ops = Examples.rs_ops ~error_rate_pct:pct ~seed:5 n in
-         let measure (d : Examples.design) =
-           let eng = Elastic_sim.Engine.create d.Examples.d_net in
-           Elastic_sim.Engine.run eng (2 * n);
-           let stream =
-             Elastic_sim.Engine.sink_stream eng d.Examples.d_sink
-           in
-           assert
-             (List.equal Value.equal (Transfer.values stream)
-                (Examples.rs_reference ops));
-           let first =
-             match Transfer.entries stream with
-             | e :: _ -> e.Transfer.cycle
-             | [] -> -1
-           in
-           (Elastic_sim.Engine.windowed_throughput eng d.Examples.d_sink,
-            first)
-         in
-         let tn, ln = measure (Examples.rs_nonspeculative ~ops) in
-         let ts, ls = measure (Examples.rs_speculative ~ops) in
+         let tn, ln = e6_measure ~n ops (Examples.rs_nonspeculative ~ops) in
+         let ts, ls = e6_measure ~n ops (Examples.rs_speculative ~ops) in
          Json.Obj
            [ ("error_rate_pct", Json.Int pct);
              ("nonspec_throughput", Json.Float tn);
@@ -1114,8 +1089,8 @@ let json_e9 ~cycles () =
 let json_e10 ?artifact ~count () =
   let module Collector = Elastic_obs.Collector in
   let module Span = Elastic_obs.Span in
-  let tasks = secded_tasks ~count () in
   let run_at w =
+    let tasks = secded_tasks ~count () in
     let c = Collector.create () in
     let t0 = Elastic_sim.Clock.monotonic () in
     let r =
@@ -1202,15 +1177,9 @@ let json_e10 ?artifact ~count () =
 (* Never raises: a vanished, unreadable or truncated baseline must fail
    the gate with a message naming the file, not an exception trace. *)
 let read_file path =
-  match open_in_bin path with
+  match In_channel.with_open_bin path In_channel.input_all with
+  | text -> Ok text
   | exception Sys_error m -> Error m
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-         try Ok (really_input_string ic (in_channel_length ic)) with
-         | Sys_error m -> Error m
-         | End_of_file -> Error (path ^ ": truncated read"))
 
 let claim_checks fail path j =
   let experiment =
@@ -1409,11 +1378,17 @@ let check_mode ~dir files =
          match Result.bind (read_file bpath) Json.parse with
          | Error m ->
            fail path "(record)" (Fmt.str "unreadable baseline %s: %s" bpath m)
-         | Ok baseline ->
+         | Ok baseline -> (
+           match Json.Jsonl.check ~schema:Metr.Gate.schema baseline with
+           | Error e ->
+             fail path "(record)"
+               (Fmt.str "baseline %s: %s" bpath
+                  (Json.Jsonl.error_to_string e))
+           | Ok () ->
            List.iter
              (fun (d : Metr.Gate.diff) ->
                 fail path d.Metr.Gate.d_path d.Metr.Gate.d_reason)
-             (Metr.Gate.compare ~baseline ~current ()))
+             (Metr.Gate.compare ~baseline ~current ())))
     files;
   if !failures = 0 then
     Fmt.pr "@.bench --check: OK (%d records match %s)@." (List.length files)

@@ -44,11 +44,10 @@ let proof_file (c : Derivations.chain) =
 
 let check_static (c : Derivations.chain) =
   let result = Derivations.verify c in
-  let out = open_out (proof_file c) in
-  output_string out
-    (Elastic_check.Flow.jsonl ~design:c.Derivations.c_name
-       ~cert:c.Derivations.c_cert result);
-  close_out out;
+  Out_channel.with_open_text (proof_file c) (fun out ->
+      Out_channel.output_string out
+        (Elastic_check.Flow.jsonl ~design:c.Derivations.c_name
+           ~cert:c.Derivations.c_cert result));
   (match result with
    | Ok p ->
      note "%a" Elastic_check.Flow.pp_proof p;

@@ -5,9 +5,10 @@
    endpoints WHILE the campaign runs: every /metrics body must be
    well-formed Prometheus text exposition (valid names, TYPE line per
    family, numeric values, histogram series typed by their base name),
-   every /status body must carry schema elastic-speculation/status/v1
+   every /status body must carry the status schema as its first field
    with pending+running+completed+failed == shards, /healthz must answer
-   200 or 503, and every /spans.jsonl line must parse as JSON.  After
+   200 or 503, and every /spans.jsonl body must read back through the
+   JSONL envelope under the spans schema.  After
    the run: all shards completed, /healthz is 200, and the final bodies
    land in METRICS_scrape.prom / STATUS_scrape.json as CI artifacts.
 
@@ -200,19 +201,15 @@ let sample_value text name =
 (* ------------------------------------------------------------------ *)
 (* Status document schema.                                             *)
 
-let status_schema = "elastic-speculation/status/v1"
-
 let check_status ~where body =
   let j =
     match Json.parse body with
     | Ok j -> j
     | Error m -> die "%s: not valid JSON: %s" where m
   in
-  let str k =
-    match Json.member k j with
-    | Some (Json.Str s) -> s
-    | _ -> die "%s: no string field %S" where k
-  in
+  (match Json.Jsonl.check ~schema:Elastic_runner.Status.schema j with
+   | Ok () -> ()
+   | Error e -> die "%s: %s" where (Json.Jsonl.error_to_string e));
   let int k =
     match Json.member k j with
     | Some (Json.Int n) -> n
@@ -221,8 +218,6 @@ let check_status ~where body =
   (match Json.member "healthy" j with
    | Some (Json.Bool _) -> ()
    | _ -> die "%s: no boolean field \"healthy\"" where);
-  if str "schema" <> status_schema then
-    die "%s: schema %S, want %S" where (str "schema") status_schema;
   let shards = int "shards" in
   let sum =
     int "pending" + int "running" + int "completed" + int "failed"
@@ -316,13 +311,14 @@ let phase1 () =
     if code <> 200 && code <> 503 then die "live /healthz: HTTP %d" code;
     let code, spans = http_get ~port "/spans.jsonl" in
     if code <> 200 then die "live /spans.jsonl: HTTP %d" code;
-    String.split_on_char '\n' spans
-    |> List.iteri (fun i line ->
-        if line <> "" then
-          match Json.parse line with
-          | Ok _ -> ()
-          | Error m ->
-            die "live /spans.jsonl line %d: not JSON: %s" (i + 1) m);
+    (match
+       Json.Jsonl.read ~schema:Elastic_obs.Export.schema ~header:Result.ok
+         ~row:Result.ok spans
+     with
+     | Ok (_, _, false) -> ()
+     | Ok (_, _, true) -> die "live /spans.jsonl: last line cut off"
+     | Error e ->
+       die "live /spans.jsonl: %s" (Json.Jsonl.error_to_string e));
     incr live_scrapes;
     if !continue then Thread.delay 0.05
   done;

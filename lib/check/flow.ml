@@ -702,7 +702,7 @@ let equiv_static ?(design = "netlist") a b =
          design (first_diff ea eb))
 
 (* ------------------------------------------------------------------ *)
-(* JSONL export, schema elastic-speculation/proof/v1. *)
+(* JSONL export. *)
 
 let json_of_params : Cert.step_kind -> (string * Json.t) list = function
   | Cert.Bubble { channel } -> [ ("channel", Json.Int channel) ]
@@ -740,32 +740,31 @@ let json_of_step i (s : Cert.step) =
 
 let opt_float = function Some f -> Json.Float f | None -> Json.Null
 
+let schema = "elastic-speculation/proof/v1"
+
 let jsonl ~design ?cert result =
   let header =
     match result with
     | Ok p ->
-      Json.Obj
-        [ ("schema", Json.Str "elastic-speculation/proof/v1");
-          ("design", Json.Str design);
-          ("mode",
-           Json.Str
-             (match p.p_mode with
-              | `Certificate -> "certificate"
-              | `Structural -> "structural"));
-          ("verdict", Json.Str "proved");
-          ("steps", Json.Int p.p_steps);
-          ("lemmas",
-           Json.List (List.map (fun l -> Json.Str l) p.p_lemmas));
-          ("source",
-           Json.Obj
-             [ ("nodes", Json.Int p.p_source_nodes);
-               ("channels", Json.Int p.p_source_channels) ]);
-          ("derived",
-           Json.Obj
-             [ ("nodes", Json.Int p.p_derived_nodes);
-               ("channels", Json.Int p.p_derived_channels) ]);
-          ("throughput_source", opt_float p.p_throughput_source);
-          ("throughput_derived", opt_float p.p_throughput_derived) ]
+      [ ("design", Json.Str design);
+        ("mode",
+         Json.Str
+           (match p.p_mode with
+            | `Certificate -> "certificate"
+            | `Structural -> "structural"));
+        ("verdict", Json.Str "proved");
+        ("steps", Json.Int p.p_steps);
+        ("lemmas", Json.List (List.map (fun l -> Json.Str l) p.p_lemmas));
+        ("source",
+         Json.Obj
+           [ ("nodes", Json.Int p.p_source_nodes);
+             ("channels", Json.Int p.p_source_channels) ]);
+        ("derived",
+         Json.Obj
+           [ ("nodes", Json.Int p.p_derived_nodes);
+             ("channels", Json.Int p.p_derived_channels) ]);
+        ("throughput_source", opt_float p.p_throughput_source);
+        ("throughput_derived", opt_float p.p_throughput_derived) ]
     | Error (d : Diagnostic.t) ->
       let opt name = function
         | Some v -> [ (name, Json.Int v) ]
@@ -775,23 +774,21 @@ let jsonl ~design ?cert result =
         | Some v -> [ (name, Json.Str v) ]
         | None -> []
       in
-      Json.Obj
-        ([ ("schema", Json.Str "elastic-speculation/proof/v1");
-           ("design", Json.Str design);
-           ("mode",
-            Json.Str
-              (match cert with Some _ -> "certificate" | None -> "structural"));
-           ("verdict", Json.Str "refuted");
-           ("code", Json.Str d.Diagnostic.code);
-           ("rule", Json.Str d.Diagnostic.rule) ]
-         @ opt "node" d.Diagnostic.node
-         @ opts "node_name" d.Diagnostic.node_name
-         @ opt "channel" d.Diagnostic.channel
-         @ [ ("message", Json.Str d.Diagnostic.message) ])
+      [ ("design", Json.Str design);
+        ("mode",
+         Json.Str
+           (match cert with Some _ -> "certificate" | None -> "structural"));
+        ("verdict", Json.Str "refuted");
+        ("code", Json.Str d.Diagnostic.code);
+        ("rule", Json.Str d.Diagnostic.rule) ]
+      @ opt "node" d.Diagnostic.node
+      @ opts "node_name" d.Diagnostic.node_name
+      @ opt "channel" d.Diagnostic.channel
+      @ [ ("message", Json.Str d.Diagnostic.message) ]
   in
   let steps =
     match cert with
     | None -> []
     | Some c -> List.mapi json_of_step c.Cert.steps
   in
-  String.concat "\n" (List.map Json.to_string (header :: steps)) ^ "\n"
+  Json.Jsonl.to_string ~schema header steps

@@ -87,8 +87,11 @@ val equiv_static :
     buffer with both endpoints connected spliced out. *)
 val normalize : Netlist.t -> Netlist.t
 
-(** JSONL report, schema [elastic-speculation/proof/v1]: a header line
-    with the verdict (["proved"] / ["refuted"] plus the refuting
+(** ["elastic-speculation/proof/v1"]. *)
+val schema : string
+
+(** JSONL report in the {!Elastic_metrics.Json.Jsonl} envelope, schema
+    {!schema}: a header line with the verdict (["proved"] / ["refuted"] plus the refuting
     diagnostic), then one line per certificate step with its lemma,
     parameters, recorded side conditions and node deltas.  See
     EXPERIMENTS.md for the schema and the rule-to-lemma table. *)

@@ -160,9 +160,8 @@ let port name p =
 let diag r = Result.map_error Diagnostic.to_string r
 
 let write_file file text =
-  let oc = open_out file in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
-      output_string oc text)
+  Out_channel.with_open_text file (fun oc ->
+      Out_channel.output_string oc text)
 
 let with_net s f =
   match s.net with

@@ -207,7 +207,7 @@ let render report =
       (List.map (fun d -> "  " ^ Diagnostic.to_string d) diags
        @ [ summary ])
 
-(* {1 JSONL export (schema elastic-speculation/lint/v1)} *)
+(* {1 JSONL export} *)
 
 let json_of_fixit : Diagnostic.fixit -> Elastic_metrics.Json.t = function
   | Diagnostic.Insert_bubble { channel } ->
@@ -237,23 +237,19 @@ let json_of_diag (d : Diagnostic.t) : Elastic_metrics.Json.t =
      @ [ ("message", Elastic_metrics.Json.Str d.Diagnostic.message) ]
      @ opt "fixit" json_of_fixit d.Diagnostic.fixit)
 
+let schema = "elastic-speculation/lint/v1"
+
 let jsonl ~design net report =
-  let header : Elastic_metrics.Json.t =
-    Obj
-      [ ("schema", Str "elastic-speculation/lint/v1");
-        ("design", Str design);
-        ("nodes", Int (Netlist.node_count net));
-        ("channels", Int (Netlist.channel_count net));
-        ("rules_run", Int report.rules_run);
-        ("gated", Bool report.gated);
-        ("errors", Int (List.length (errors report)));
-        ("warnings", Int (List.length (warnings report)));
-        ("infos", Int (List.length (infos report))) ]
-  in
-  String.concat ""
-    (List.map
-       (fun j -> Elastic_metrics.Json.to_string j ^ "\n")
-       (header :: List.map json_of_diag report.diags))
+  Elastic_metrics.Json.Jsonl.to_string ~schema
+    [ ("design", Str design);
+      ("nodes", Int (Netlist.node_count net));
+      ("channels", Int (Netlist.channel_count net));
+      ("rules_run", Int report.rules_run);
+      ("gated", Bool report.gated);
+      ("errors", Int (List.length (errors report)));
+      ("warnings", Int (List.length (warnings report)));
+      ("infos", Int (List.length (infos report))) ]
+    (List.map json_of_diag report.diags)
 
 (* {1 Fix-it application} *)
 

@@ -53,8 +53,12 @@ val clean : report -> bool
 (** Human-readable report, one line per diagnostic plus a summary. *)
 val render : report -> string
 
-(** JSONL report (schema [elastic-speculation/lint/v1]): a header object
-    followed by one object per diagnostic, newline-terminated. *)
+(** ["elastic-speculation/lint/v1"]. *)
+val schema : string
+
+(** JSONL report in the {!Elastic_metrics.Json.Jsonl} envelope, schema
+    {!schema}: a header object (design, sizes, rule and severity
+    counts) followed by one object per diagnostic. *)
 val jsonl : design:string -> Netlist.t -> report -> string
 
 (** Apply every machine-applicable fix-it in the report (insert-bubble,

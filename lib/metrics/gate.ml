@@ -5,6 +5,15 @@ type diff = {
 
 let pp_diff ppf d = Fmt.pf ppf "%s: %s" d.d_path d.d_reason
 
+let schema = "elastic-speculation/bench/v1"
+
+let record ~experiment ~title ~mode fields =
+  Json.Jsonl.tag ~schema
+    (("experiment", Json.Str experiment)
+     :: ("title", Json.Str title)
+     :: ("mode", Json.Str mode)
+     :: fields)
+
 let wall_clock_key path =
   let last =
     match String.rindex_opt path '.' with

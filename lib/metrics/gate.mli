@@ -19,6 +19,18 @@ type diff = {
 
 val pp_diff : Format.formatter -> diff -> unit
 
+(** ["elastic-speculation/bench/v1"], the schema of the records the
+    gate compares; [bench --check] refuses a baseline that does not
+    carry it ({!Json.Jsonl.check}) before diffing. *)
+val schema : string
+
+(** [record ~experiment ~title ~mode fields]: one [BENCH_E<k>.json]
+    record, tagged with {!schema}, followed by [experiment], [title],
+    [mode] ("quick" or "full") and [fields]. *)
+val record :
+  experiment:string -> title:string -> mode:string ->
+  (string * Json.t) list -> Json.t
+
 (** Default [skip] predicate: true on wall-clock-dependent leaf keys. *)
 val wall_clock_key : string -> bool
 

@@ -279,3 +279,77 @@ let to_float = function
   | Int i -> Some (float_of_int i)
   | Float f -> Some f
   | Null | Bool _ | Str _ | List _ | Obj _ -> None
+
+module Jsonl = struct
+  type error =
+    | Empty
+    | Not_json of { line : int; msg : string }
+    | No_schema of { line : int }
+    | Wrong_schema of { line : int; found : string; want : string }
+    | Bad_row of { line : int; msg : string }
+
+  let error_to_string = function
+    | Empty -> "empty file"
+    | Not_json { line; msg } -> Fmt.str "line %d: not JSON: %s" line msg
+    | No_schema { line } ->
+      Fmt.str "line %d: no \"schema\" string as the first field" line
+    | Wrong_schema { line; found; want } ->
+      Fmt.str "line %d: schema %S, want %S" line found want
+    | Bad_row { line; msg } -> Fmt.str "line %d: %s" line msg
+
+  let tag ~schema fields = Obj (("schema", Str schema) :: fields)
+
+  let to_string ~schema header rows =
+    let b = Buffer.create 4096 in
+    List.iter
+      (fun j ->
+         Buffer.add_string b (to_string j);
+         Buffer.add_char b '\n')
+      (tag ~schema header :: rows);
+    Buffer.contents b
+
+  let check_line ~line ~schema = function
+    | Obj (("schema", Str found) :: _) ->
+      if String.equal found schema then Ok ()
+      else Error (Wrong_schema { line; found; want = schema })
+    | Null | Bool _ | Int _ | Float _ | Str _ | List _ | Obj _ ->
+      Error (No_schema { line })
+
+  let check ~schema j = check_line ~line:1 ~schema j
+
+  let read ~schema ~header ~row text =
+    let ( let* ) = Result.bind in
+    let decode line f l =
+      match parse l with
+      | Error msg -> Error (Not_json { line; msg })
+      | Ok j -> Result.map_error (fun msg -> Bad_row { line; msg }) (f j)
+    in
+    (* Line numbers count every physical line; blank lines are skipped. *)
+    let lines =
+      List.filter (fun (_, l) -> l <> "")
+        (List.mapi (fun i l -> (i + 1, l)) (String.split_on_char '\n' text))
+    in
+    (* A file cut off mid-append has no final newline: its last line is
+       lost data, not corruption. *)
+    let cut =
+      String.length text > 0 && text.[String.length text - 1] <> '\n'
+    in
+    match lines with
+    | [] -> Error Empty
+    | (line, first) :: rest ->
+      let* j =
+        Result.map_error (fun msg -> Not_json { line; msg }) (parse first)
+      in
+      let* () = check_line ~line ~schema j in
+      let* h = Result.map_error (fun msg -> Bad_row { line; msg }) (header j) in
+      let rec go acc = function
+        | [] -> Ok (List.rev acc, false)
+        | (line, l) :: rest -> (
+            match decode line row l with
+            | Ok r -> go (r :: acc) rest
+            | Error _ when rest = [] && cut -> Ok (List.rev acc, true)
+            | Error e -> Error e)
+      in
+      let* rows, truncated = go [] rest in
+      Ok (h, rows, truncated)
+end

@@ -278,6 +278,8 @@ let attach ?registry ?window ?on_window eng =
   Engine.set_observer eng (Some (observe t));
   t
 
+let schema = "elastic-speculation/metrics/v1"
+
 let jsonl_of_row row =
   let labels_json labels =
     Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) labels)
@@ -305,9 +307,8 @@ let jsonl_of_row row =
              ("p99", Json.Int (Histogram.s_quantile h 0.99)) ])
   in
   Json.to_string
-    (Json.Obj
-       [ ("schema", Json.Str "elastic-speculation/metrics/v1");
-         ("cycle", Json.Int row.r_cycle);
+    (Json.Jsonl.tag ~schema
+       [ ("cycle", Json.Int row.r_cycle);
          ("window", Json.Int row.r_window);
          ("samples", Json.List (List.map sample_json row.r_samples)) ])
 

@@ -67,9 +67,13 @@ val registry : t -> Metrics.t
 (** Snapshot with gauges freshly refreshed from the engine. *)
 val sample : t -> Engine.t -> Metrics.sample list
 
-(** One JSONL line (no trailing newline), schema
-    [elastic-speculation/metrics/v1]; histograms are summarized as
-    count/sum/min/max/p50/p90/p99. *)
+(** ["elastic-speculation/metrics/v1"]. *)
+val schema : string
+
+(** One JSONL line (no trailing newline): a self-contained row tagged
+    with {!schema} through {!Json.Jsonl.tag}, so every line of a
+    metrics series is a versioned document ({!Json.Jsonl.check});
+    histograms are summarized as count/sum/min/max/p50/p90/p99. *)
 val jsonl_of_row : row -> string
 
 (** Count a recovery classification into

@@ -13,30 +13,20 @@ let base_ns spans =
     spans
 
 let write_file path text =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc text)
+  Out_channel.with_open_text path (fun oc ->
+      Out_channel.output_string oc text)
 
 let jsonl ?(campaign = "") spans =
   let base = base_ns spans in
-  let buf = Buffer.create 4096 in
-  let line j =
-    Buffer.add_string buf (Json.to_string j);
-    Buffer.add_char buf '\n'
-  in
-  line
-    (Json.Obj
-       [ ("schema", Json.Str schema);
-         ("campaign", Json.Str campaign);
-         ("trace",
-          Json.Int
-            (match spans with
-             | [] -> 0
-             | s :: _ -> s.Span.sp_trace));
-         ("spans", Json.Int (List.length spans)) ]);
-  List.iter (fun s -> line (Span.to_json ~base_ns:base s)) spans;
-  Buffer.contents buf
+  Json.Jsonl.to_string ~schema
+    [ ("campaign", Json.Str campaign);
+      ("trace",
+       Json.Int
+         (match spans with
+          | [] -> 0
+          | s :: _ -> s.Span.sp_trace));
+      ("spans", Json.Int (List.length spans)) ]
+    (List.map (Span.to_json ~base_ns:base) spans)
 
 let write_jsonl ~path ?campaign spans =
   write_file path (jsonl ?campaign spans)

@@ -2,10 +2,10 @@
 
     Three renderings of one merged span list:
 
-    - {!jsonl}: the versioned machine-readable ledger
-      (schema {!schema} = ["elastic-speculation/spans/v1"]) — a header
-      line naming the schema, campaign and time base, then one
-      {!Span.to_json} object per line;
+    - {!jsonl}: the versioned machine-readable ledger in the
+      {!Elastic_metrics.Json.Jsonl} envelope (schema {!schema}) — a
+      header line naming the schema, campaign, trace id and span count,
+      then one {!Span.to_json} object per line;
     - {!chrome_json}: Chrome trace-event JSON (the ["traceEvents"]
       array form) loadable in Perfetto / [chrome://tracing], one named
       track per worker, ["X"] complete events with microsecond
@@ -14,6 +14,7 @@
       with self-time values in microseconds, aggregated by kind path,
       ready for [flamegraph.pl] / speedscope. *)
 
+(** ["elastic-speculation/spans/v1"]. *)
 val schema : string
 
 (** Earliest span start, the time base every export subtracts; [0L]

@@ -24,24 +24,15 @@ type t = {
   truncated : bool;
 }
 
-let header_to_json h =
-  Json.Obj
-    [ ("schema", Json.Str schema);
-      ("campaign", Json.Str h.campaign);
-      ("command",
-       match h.command with Some c -> Json.Str c | None -> Json.Null);
-      ("shards", Json.Int h.shards);
-      ("seed", Json.Int h.seed) ]
+let header_fields h =
+  [ ("campaign", Json.Str h.campaign);
+    ("command",
+     match h.command with Some c -> Json.Str c | None -> Json.Null);
+    ("shards", Json.Int h.shards);
+    ("seed", Json.Int h.seed) ]
 
 let header_of_json j =
   let ( let* ) = Result.bind in
-  let* () =
-    match Json.member "schema" j with
-    | Some (Json.Str s) when String.equal s schema -> Ok ()
-    | Some (Json.Str s) ->
-      Error (Fmt.str "unsupported checkpoint schema %S (want %S)" s schema)
-    | Some _ | None -> Error "checkpoint header has no \"schema\" field"
-  in
   let* campaign =
     match Json.member "campaign" j with
     | Some (Json.Str s) -> Ok s
@@ -113,13 +104,9 @@ let write ~path header entries =
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
     (fun () ->
-       output_string oc (Json.to_string (header_to_json header));
-       output_char oc '\n';
-       List.iter
-         (fun e ->
-            output_string oc (Json.to_string (entry_to_json e));
-            output_char oc '\n')
-         entries;
+       output_string oc
+         (Json.Jsonl.to_string ~schema (header_fields header)
+            (List.map entry_to_json entries));
        flush oc);
   Sys.rename tmp path
 
@@ -141,37 +128,12 @@ let load path =
     | s -> Ok s
     | exception Sys_error msg -> Error msg
   in
-  (* A file killed mid-append may end without a newline: the final
-     fragment is recoverable data loss, not corruption. *)
-  let ends_nl =
-    String.length contents > 0
-    && contents.[String.length contents - 1] = '\n'
-  in
-  let lines = String.split_on_char '\n' contents in
-  let lines = List.filter (fun l -> String.length l > 0) lines in
-  match lines with
-  | [] -> Error "empty checkpoint file"
-  | header_line :: entry_lines ->
-    let* header =
-      match Json.parse header_line with
-      | Ok j -> header_of_json j
-      | Error e -> Error (Fmt.str "header line: %s" e)
-    in
-    let rec go acc lineno = function
-      | [] -> Ok (List.rev acc, false)
-      | line :: rest -> (
-          let last = rest = [] in
-          match Json.parse line with
-          | Ok j -> (
-              match entry_of_json j with
-              | Ok e -> go (e :: acc) (lineno + 1) rest
-              | Error _ when last && not ends_nl -> Ok (List.rev acc, true)
-              | Error e -> Error (Fmt.str "line %d: %s" lineno e))
-          | Error _ when last && not ends_nl -> Ok (List.rev acc, true)
-          | Error e -> Error (Fmt.str "line %d: %s" lineno e))
-    in
-    let* entries, truncated = go [] 2 entry_lines in
-    Ok { header; entries; truncated }
+  match
+    Json.Jsonl.read ~schema ~header:header_of_json ~row:entry_of_json
+      contents
+  with
+  | Ok (header, entries, truncated) -> Ok { header; entries; truncated }
+  | Error e -> Error (Json.Jsonl.error_to_string e)
 
 let pp_status ppf t =
   Fmt.pf ppf "@[<v>";

@@ -1,5 +1,5 @@
-(** JSONL checkpoints for resumable campaigns
-    (schema ["elastic-speculation/checkpoint/v1"]).
+(** JSONL checkpoints for resumable campaigns, in the
+    {!Elastic_metrics.Json.Jsonl} envelope (schema {!schema}).
 
     Line 1 is a header object identifying the campaign (name, shard
     count, seed and — when launched from the shell — the command string
@@ -8,10 +8,12 @@
     {!Elastic_metrics.Metrics} sample snapshot it produced.  Entries are
     appended (and fsynced per line by the runner's lock discipline) as
     shards finish, so a killed run loses at most the line it was writing
-    — {!load} tolerates a truncated final line and reports it, while a
-    corrupt {e interior} line is a hard [Error] naming the line number
-    and byte offset. *)
+    — {!load} reads through {!Elastic_metrics.Json.Jsonl.read}, so it
+    tolerates a truncated final line and reports it, while a corrupt
+    {e interior} line or a foreign schema is a hard [Error] naming the
+    line number (and, for bad JSON, the byte offset). *)
 
+(** ["elastic-speculation/checkpoint/v1"]. *)
 val schema : string
 
 type header = {
@@ -37,8 +39,6 @@ type t = {
   truncated : bool;  (** final line was cut off and dropped *)
 }
 
-val header_to_json : header -> Elastic_metrics.Json.t
-
 val entry_to_json : entry -> Elastic_metrics.Json.t
 
 val entry_of_json : Elastic_metrics.Json.t -> (entry, string) result
@@ -51,8 +51,9 @@ val write : path:string -> header -> entry list -> unit
 (** Append one completed-shard line.  The file must exist. *)
 val append : path:string -> entry -> unit
 
-(** Never raises on bad content; I/O errors and malformed interior
-    lines come back as [Error]. *)
+(** Never raises on bad content; I/O errors and envelope errors
+    ({!Elastic_metrics.Json.Jsonl.error}, rendered with
+    [error_to_string]) come back as [Error]. *)
 val load : string -> (t, string) result
 
 (** Human completeness summary: shards done / total, truncation flag,

@@ -5,9 +5,8 @@ let schema = "elastic-speculation/status/v1"
 let doc ~source ~campaign ~shards ~pending ~running ~completed ~failed
     ~resumed ~retried ~attempts ~elapsed ~eta ~healthy ~stalls
     ~utilization ~slowest extra =
-  Json.Obj
-    ([ ("schema", Json.Str schema);
-       ("source", Json.Str source);
+  Json.Jsonl.tag ~schema
+    ([ ("source", Json.Str source);
        ("campaign", campaign);
        ("shards", Json.Int shards);
        ("pending", Json.Int pending);

@@ -1,5 +1,5 @@
-(** The campaign status document
-    (schema ["elastic-speculation/status/v1"]).
+(** The campaign status document, a single versioned object tagged
+    through {!Elastic_metrics.Json.Jsonl.tag} (schema {!schema}).
 
     One JSON shape serves two sources: the telemetry server's live
     [GET /status] (rendered from a {!Progress} plane mid-campaign) and
@@ -17,6 +17,8 @@
       collector);
     - [slowest]: the slowest completed shard, or null. *)
 
+(** ["elastic-speculation/status/v1"]; readers check it with
+    {!Elastic_metrics.Json.Jsonl.check}. *)
 val schema : string
 
 (** Live form.  [None] renders an idle document (zero shards, healthy).

@@ -28,21 +28,26 @@ let emit_phases (rc, attempt_id) ~t0 ~t1 profile =
   Recorder.emit rc ~parent:attempt_id Span.Settle "settle" ~start_ns:c_end
     ~end_ns:s_end
 
-(* A domain-safe once-cell: the first call computes [f ()] and
-   publishes it, later calls read it.  Not [Lazy]: forcing one lazy
-   value from two domains at once raises [CamlinternalLazy.Undefined].
-   Workers that race both compute the same deterministic value, and a
+(* A domain-safe once-cell: the first call computes [f ()] under a
+   lock and publishes it, later calls read it.  Not [Lazy]: forcing one
+   lazy value from two domains at once raises
+   [CamlinternalLazy.Undefined].  Workers that arrive while the value
+   is being computed wait for it instead of computing it again; a
    computation that raises publishes nothing, so the next call tries
    again.  The flag says whether this call did the computing. *)
 let once f =
-  let cell = Atomic.make None in
+  let cell = Atomic.make None and lock = Pool_backend.create_lock () in
   fun () ->
     match Atomic.get cell with
     | Some v -> (v, false)
     | None ->
-      let v = f () in
-      ignore (Atomic.compare_and_set cell None (Some v));
-      (v, true)
+      Pool_backend.with_lock lock (fun () ->
+          match Atomic.get cell with
+          | Some v -> (v, false)
+          | None ->
+            let v = f () in
+            Atomic.set cell (Some v);
+            (v, true))
 
 let of_campaign ?cycles ?settle ?alarms ~name net ~scenarios =
   let golden = once (fun () -> Recovery.golden ?cycles ?alarms net) in
@@ -62,14 +67,18 @@ let of_campaign ?cycles ?settle ?alarms ~name net ~scenarios =
                 | None -> 0L
               in
               let golden, computed = golden () in
+              (* The faulted run's phases start once the golden is in
+                 hand; a worker that waited for another's reference run
+                 leaves that wait as attempt self time. *)
               let t0 =
                 match ctx.obs with
-                | Some (rc, attempt_id) when computed ->
+                | Some (rc, attempt_id) ->
                   let t1 = Recorder.now rc in
-                  Recorder.emit rc ~parent:attempt_id Span.Reference_run
-                    "reference-run" ~start_ns:t0 ~end_ns:t1;
+                  if computed then
+                    Recorder.emit rc ~parent:attempt_id Span.Reference_run
+                      "reference-run" ~start_ns:t0 ~end_ns:t1;
                   t1
-                | Some _ | None -> t0
+                | None -> t0
               in
               let report =
                 Recovery.check_against ?settle ~observer golden ~faults

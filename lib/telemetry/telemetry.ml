@@ -112,12 +112,14 @@ let health t =
   | Some w -> (Watchdog.healthy w, Watchdog.stalls w)
 
 let index_body =
-  "elastic-speculation live telemetry\n\
-   endpoints:\n\
-  \  /metrics     Prometheus text exposition (merged live snapshot)\n\
-  \  /status      campaign status JSON (elastic-speculation/status/v1)\n\
-  \  /spans.jsonl span ledger JSONL (elastic-speculation/spans/v1)\n\
-  \  /healthz     200 while every running shard beats, 503 on a stall\n"
+  Fmt.str
+    "elastic-speculation live telemetry\n\
+     endpoints:\n\
+    \  /metrics     Prometheus text exposition (merged live snapshot)\n\
+    \  /status      campaign status JSON (%s)\n\
+    \  /spans.jsonl span ledger JSONL (%s)\n\
+    \  /healthz     200 while every running shard beats, 503 on a stall\n"
+    Status.schema Export.schema
 
 let metrics_body t =
   Metrics.Gauge.set

@@ -1,66 +1,43 @@
 open Elastic_kernel
 open Elastic_netlist
+module Json = Elastic_metrics.Json
 
-let escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-       match c with
-       | '"' -> Buffer.add_string b "\\\""
-       | '\\' -> Buffer.add_string b "\\\\"
-       | '\n' -> Buffer.add_string b "\\n"
-       | '\t' -> Buffer.add_string b "\\t"
-       | '\r' -> Buffer.add_string b "\\r"
-       | c when Char.code c < 0x20 ->
-         Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let schema = "elastic-speculation/trace/v1"
 
-let add_line b net (e : Event.t) =
-  let field_str k v = Printf.sprintf "\"%s\":\"%s\"" k (escape v) in
-  let field_int k v = Printf.sprintf "\"%s\":%d" k v in
+let event_json net (e : Event.t) =
   let subject_fields =
     match e.Event.ev_subject with
     | Event.Chan cid ->
-      [ field_int "ch" cid;
-        field_str "at" (Netlist.channel net cid).Netlist.ch_name ]
+      [ ("ch", Json.Int cid);
+        ("at", Json.Str (Netlist.channel net cid).Netlist.ch_name) ]
     | Event.Node nid ->
-      [ field_int "n" nid;
-        field_str "at" (Netlist.node net nid).Netlist.name ]
+      [ ("n", Json.Int nid);
+        ("at", Json.Str (Netlist.node net nid).Netlist.name) ]
   in
   let kind_fields =
     match e.Event.ev_kind with
-    | Event.Transfer (Some v) -> [ field_str "v" (Value.to_string v) ]
+    | Event.Transfer (Some v) -> [ ("v", Json.Str (Value.to_string v)) ]
     | Event.Transfer None -> []
     | Event.Stall | Event.Anti | Event.Cancel | Event.Inject -> []
     | Event.Occupancy { before; after } ->
-      [ field_int "before" before; field_int "after" after ]
+      [ ("before", Json.Int before); ("after", Json.Int after) ]
     | Event.Predict { way } | Event.Serve { way }
     | Event.Mispredict { way } ->
-      [ field_int "way" way ]
-    | Event.Replay { penalty } -> [ field_int "penalty" penalty ]
-    | Event.Violation { property } -> [ field_str "prop" property ]
+      [ ("way", Json.Int way) ]
+    | Event.Replay { penalty } -> [ ("penalty", Json.Int penalty) ]
+    | Event.Violation { property } -> [ ("prop", Json.Str property) ]
   in
-  Buffer.add_char b '{';
-  Buffer.add_string b
-    (String.concat ","
-       (field_int "c" e.Event.ev_cycle
-        :: field_str "k" (Event.kind_label e.Event.ev_kind)
-        :: subject_fields
-        @ kind_fields));
-  Buffer.add_string b "}\n"
+  Json.Obj
+    (("c", Json.Int e.Event.ev_cycle)
+     :: ("k", Json.Str (Event.kind_label e.Event.ev_kind))
+     :: subject_fields
+     @ kind_fields)
 
 let to_string net evs =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"schema\":\"elastic-speculation/trace/v1\",\"events\":%d}\n"
-       (List.length evs));
-  List.iter (add_line b net) evs;
-  Buffer.contents b
+  Json.Jsonl.to_string ~schema
+    [ ("events", Json.Int (List.length evs)) ]
+    (List.map (event_json net) evs)
 
 let save path net evs =
-  let oc = open_out path in
-  output_string oc (to_string net evs);
-  close_out oc
+  Out_channel.with_open_text path (fun oc ->
+      Out_channel.output_string oc (to_string net evs))

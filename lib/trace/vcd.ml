@@ -199,9 +199,8 @@ let contents r =
   Buffer.contents r.buf ^ Fmt.str "#%d\n" r.n_cycles
 
 let save path r =
-  let oc = open_out path in
-  output_string oc (contents r);
-  close_out oc
+  Out_channel.with_open_text path (fun oc ->
+      Out_channel.output_string oc (contents r))
 
 let header net =
   let vars = build_vars net in

@@ -67,3 +67,13 @@ let check_no_violations eng =
     vs;
   let sv = Elastic_sim.Engine.starvation_violations eng in
   List.iter (fun s -> Alcotest.failf "starvation: %s" s) sv
+
+(* A JSONL artifact read back through the envelope reader: the header
+   and the rows as raw JSON.  Any reader error, or a cut-off last line,
+   fails the test. *)
+let read_jsonl ~schema text =
+  let module J = Elastic_metrics.Json in
+  match J.Jsonl.read ~schema ~header:Result.ok ~row:Result.ok text with
+  | Ok (header, rows, false) -> (header, rows)
+  | Ok (_, _, true) -> Alcotest.fail "JSONL artifact ends in a cut-off line"
+  | Error e -> Alcotest.failf "JSONL artifact: %s" (J.Jsonl.error_to_string e)

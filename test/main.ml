@@ -25,6 +25,7 @@ let () =
       ("fault", Test_fault.suite);
       ("serial", Test_serial.suite);
       ("metrics", Test_metrics.suite);
+      ("envelope", Test_envelope.suite);
       ("blif.cosim", Test_blif_cosim.suite);
       ("lint", Test_lint.suite);
       ("runner", Test_runner.suite);

@@ -250,13 +250,9 @@ let structural_suite =
          Alcotest.(check bool) "proved" true (contains out "proved");
          Alcotest.(check bool) "lemma named" true
            (contains out "bubble-insertion");
-         let lines =
-           List.filter
-             (fun l -> String.trim l <> "")
-             (String.split_on_char '\n' out)
-         in
+         let _, steps = read_jsonl ~schema:Flow.schema out in
          Alcotest.(check int) "header + one line per step"
-           (1 + Cert.length c) (List.length lines));
+           (1 + Cert.length c) (1 + List.length steps));
     Alcotest.test_case "jsonl report names the refuting diagnostic" `Quick
       (fun () ->
          let src = (Figures.fig1a ()).Figures.net in

@@ -471,39 +471,23 @@ let shell_suite =
         let _ = exec s "load fig1d" in
         let path = Filename.temp_file "lint" ".jsonl" in
         let _ = exec s (Fmt.str "lint jsonl %s" path) in
-        let ic = open_in path in
-        let lines = ref [] in
-        (try
-           while true do
-             lines := input_line ic :: !lines
-           done
-         with End_of_file -> ());
-        close_in ic;
+        let text = In_channel.with_open_bin path In_channel.input_all in
         Sys.remove path;
-        let lines = List.rev !lines in
+        let h, diags = Helpers.read_jsonl ~schema:Lint.schema text in
         let open Elastic_metrics.Json in
-        let parse_exn line =
-          match parse line with
-          | Ok j -> j
-          | Error e -> Alcotest.failf "unparseable JSONL line %S: %s" line e
-        in
-        match lines with
-        | header :: diags ->
-          let h = parse_exn header in
-          Alcotest.(check string) "schema" "elastic-speculation/lint/v1"
-            (match member "schema" h with Some (Str s) -> s | _ -> "?");
-          Alcotest.(check string) "design" "fig1d"
-            (match member "design" h with Some (Str s) -> s | _ -> "?");
-          Alcotest.(check int) "one line per diagnostic"
-            (match member "infos" h with Some (Int n) -> n | _ -> -1)
-            (List.length diags);
-          List.iter
-            (fun line ->
-               match member "code" (parse_exn line) with
-               | Some (Str _) -> ()
-               | _ -> Alcotest.fail "diagnostic line without a code")
-            diags
-        | [] -> Alcotest.fail "empty JSONL report") ]
+        Alcotest.(check string) "schema" "elastic-speculation/lint/v1"
+          (match member "schema" h with Some (Str s) -> s | _ -> "?");
+        Alcotest.(check string) "design" "fig1d"
+          (match member "design" h with Some (Str s) -> s | _ -> "?");
+        Alcotest.(check int) "one line per diagnostic"
+          (match member "infos" h with Some (Int n) -> n | _ -> -1)
+          (List.length diags);
+        List.iter
+          (fun d ->
+             match member "code" d with
+             | Some (Str _) -> ()
+             | _ -> Alcotest.fail "diagnostic line without a code")
+          diags) ]
 
 (* ------------------------------------------------------------------ *)
 

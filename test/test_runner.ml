@@ -459,6 +459,20 @@ let test_workload_shares_reference_run () =
   Alcotest.(check bool) "same merge" true
     (r1.Runner.r_merged = r2.Runner.r_merged)
 
+(* Workers that start together wait for the one reference run instead
+   of each computing their own. *)
+let test_workload_parallel_one_reference_run () =
+  let net, alarms, scenarios = campaign_fixture ~seed:42 ~count:8 in
+  let tasks =
+    Workload.of_campaign ~cycles:90 ~alarms ~name:"par" net ~scenarios
+  in
+  let c = Elastic_obs.Collector.create () in
+  let r = Runner.run ~workers:4 ~sleep:sleep_stub ~obs:c ~name:"par" tasks in
+  Alcotest.(check int) "all shards completed" 8 r.Runner.r_completed;
+  Alcotest.(check int) "one reference-run span" 1
+    (List.length
+       (List.filter (( = ) Elastic_obs.Span.Reference_run) (span_kinds c)))
+
 let test_workload_failing_reference () =
   (* A graft with a combinational cycle: the fault-free engine raises a
      typed E102 on its first step. *)
@@ -650,6 +664,8 @@ let suite =
       test_workload_matches_sequential_campaign;
     Alcotest.test_case "campaign tasks share one reference run" `Quick
       test_workload_shares_reference_run;
+    Alcotest.test_case "parallel workers share one reference run" `Quick
+      test_workload_parallel_one_reference_run;
     Alcotest.test_case "a failing reference run fails every shard" `Quick
       test_workload_failing_reference;
     Alcotest.test_case "a failed reference run is not cached" `Quick

@@ -320,27 +320,41 @@ let test_timeline_windows () =
 (* --- JSONL export -------------------------------------------------- *)
 
 let test_jsonl () =
+  let module Json = Elastic_metrics.Json in
   let net = table1_net () in
   let _, tr = traced_run net 20 in
   let evs = Tracer.events tr in
   let text = Jsonl.to_string net evs in
-  let lines =
-    String.split_on_char '\n' text |> List.filter (fun l -> l <> "")
-  in
+  let meta, rows = Helpers.read_jsonl ~schema:Jsonl.schema text in
   Alcotest.(check int) "one line per event plus meta"
-    (List.length evs + 1) (List.length lines);
+    (List.length evs + 1) (List.length rows + 1);
   Alcotest.(check bool) "meta line carries the schema" true
-    (Helpers.contains (List.hd lines) "elastic-speculation/trace/v1");
+    (Json.member "schema" meta
+     = Some (Json.Str "elastic-speculation/trace/v1"));
+  Alcotest.(check bool) "meta line counts the events" true
+    (Json.member "events" meta = Some (Json.Int (List.length evs)));
   List.iter
-    (fun l ->
+    (fun j ->
        Alcotest.(check bool) "line is an object" true
-         (l.[0] = '{' && l.[String.length l - 1] = '}'))
-    lines;
+         (match j with Json.Obj _ -> true | _ -> false))
+    (meta :: rows);
   List.iter2
-    (fun l (e : Event.t) ->
+    (fun j (e : Event.t) ->
        Alcotest.(check bool) "cycle field" true
-         (Helpers.contains l (Fmt.str "{\"c\":%d," e.Event.ev_cycle)))
-    (List.tl lines) evs
+         (match j with
+          | Json.Obj (("c", Json.Int c) :: _) -> c = e.Event.ev_cycle
+          | _ -> false))
+    rows evs
+
+(* The Table 1 trace as JSONL, pinned byte for byte like the VCD:
+   captured before the emitter moved onto the shared envelope, so any
+   drift in field order, escaping or line layout shows here. *)
+let test_jsonl_golden () =
+  let net = table1_net () in
+  let _, tr = traced_run net 20 in
+  Alcotest.(check string) "first 20 cycles byte-exact"
+    (read_file "table1.trace.jsonl.expected")
+    (Jsonl.to_string net (Tracer.events tr))
 
 (* --- zero overhead when tracing is off ----------------------------- *)
 
@@ -551,6 +565,8 @@ let suite =
     Alcotest.test_case "timeline windows and replay bounds" `Quick
       test_timeline_windows;
     Alcotest.test_case "JSONL export schema" `Quick test_jsonl;
+    Alcotest.test_case "golden JSONL first 20 cycles (table1)" `Quick
+      test_jsonl_golden;
     Alcotest.test_case "tracing off has zero overhead" `Quick
       test_zero_overhead;
     Alcotest.test_case "recovery checks can observe the faulted run"
