@@ -2,7 +2,7 @@
    paper's evaluation and runs one Bechamel micro-benchmark per
    experiment.
 
-   Experiments (see DESIGN.md section 4):
+   Experiments (see DESIGN.md section 4 and EXPERIMENTS.md):
      E1  Table 1        — cycle-exact trace of Fig. 1(d)
      E2  Fig. 1(a-d)    — design points + prediction-accuracy sweep
      E3  Figs. 2/3/5    — exhaustive verification of the EB controllers
@@ -10,8 +10,23 @@
      E5  Fig. 6 / §5.1  — variable-latency ALU, stalling vs speculative
      E6  Fig. 7 / §5.2  — SECDED-protected adder, ±speculation
      E7  §5.2 + faults  — adversarial injection campaigns (lib/fault)
+     E8  runner         — the E7 campaign at 1, 2, 4 and 8 workers
+     E9  arena          — settle speedup over the reference fixpoint
+     E10 span ledger    — runner scheduling overhead from its own spans
      A1  §4.1/§4.3      — ablation: recovery-buffer backward latency
-     A2  schedulers     — ablation: prediction strategies on Fig. 1(d) *)
+     A2  schedulers     — ablation: prediction strategies on Fig. 1(d)
+     A3  §1 motivation  — ablation: branch prediction on a next-PC loop
+
+   Modes: with no flag, the text report of E1-E7 and A1-A3, then
+   Bechamel.  --json writes the BENCH_E<k>.json records of E1-E3, E5,
+   E6 and E8-E10 (--quick: small sweeps; --trace: TRACE and SPANS
+   artifacts too).  --check also reports failed paper claims and diffs
+   the records against bench/baselines/ (--baselines <dir>).  --chaos
+   kills and resumes the SECDED campaign under injected worker faults.
+
+   E1-E3, E5 and E6 each compute their numbers once, in one function
+   returning typed values: the text report prints them, and --json
+   wraps them in a record. *)
 
 open Elastic_kernel
 open Elastic_sched
@@ -25,10 +40,13 @@ let section title =
   Fmt.pr "=====================================================@."
 
 (* ------------------------------------------------------------------ *)
-(* The --json trajectory records use the shared JSON tree of            *)
-(* lib/metrics (the image has no JSON library); --check parses the      *)
-(* committed baselines back through the same module.  Schema:           *)
-(* EXPERIMENTS.md.                                                      *)
+(* --json: machine-readable trajectory records, one BENCH_E<k>.json per *)
+(* experiment, written to the current directory through the shared      *)
+(* JSON tree of lib/metrics (the image has no JSON library); --check    *)
+(* parses the committed baselines back through the same module.  The    *)
+(* records of E1, E2, E5 and E6 carry an [engine] block comparing the   *)
+(* arena's scheduled settle against the reference fixpoint on the       *)
+(* experiment's main design.  Schema: EXPERIMENTS.md.                   *)
 
 module Json = struct
   include Elastic_metrics.Json
@@ -39,6 +57,23 @@ module Json = struct
 end
 
 module Metr = Elastic_metrics
+
+(* quick and full sweeps produce different numbers; stamping the mode
+   into the record makes a baseline/run mismatch fail the gate with a
+   readable diff instead of dozens of numeric ones. *)
+let run_mode = ref "full"
+
+let record ~experiment ~title fields =
+  Metr.Gate.record ~experiment ~title ~mode:!run_mode fields
+
+(* The paper's claims, checked on the typed values where each
+   experiment computes them.  A failed claim is kept as (record, field
+   path, reason); --check reports them before the baseline diffs. *)
+let claims = ref []
+
+let claim experiment path ok reason =
+  if not ok then
+    claims := (Fmt.str "BENCH_%s.json" experiment, path, reason) :: !claims
 
 (* Run a design under both evaluation modes and record the settle cost:
    the [eval_reduction] field is the headline claim — node evaluations
@@ -92,10 +127,10 @@ let run_windowed net sink cycles =
   Elastic_sim.Engine.windowed_throughput eng sink
 
 (* ------------------------------------------------------------------ *)
-(* Observability fields (lib/trace): speculation timelines and stall    *)
-(* attribution distilled from one traced run of the experiment's main   *)
-(* design; with [--trace] the run's VCD and JSONL artifacts are written *)
-(* next to the BENCH records.                                           *)
+(* Observability fields (lib/trace, lib/metrics): speculation           *)
+(* timelines, stall attribution and metric families distilled from one  *)
+(* instrumented run of the experiment's main design; with [--trace] the *)
+(* run's VCD and JSONL artifacts are written next to the BENCH records. *)
 
 module Trace = Elastic_trace
 
@@ -155,36 +190,17 @@ let attribution_json (at : Trace.Attribution.t) =
          ("root_on_critical_cycle",
           Json.Bool at.Trace.Attribution.at_root_on_critical) ])
 
-let traced_record ?artifact ~cycles net =
+(* The blocks a record adds about its experiment's main design: the
+   engine comparison, then one instrumented run feeding the tracer (the
+   speculation timelines and stall attribution) and the metrics sampler.
+   The run writes METRICS_E<k>.prom and the .jsonl window series, and
+   with [artifact] its VCD and JSONL event trace.  The per-scheduler
+   metric families are distilled into gate-checkable numbers. *)
+let design_blocks ~experiment ?artifact ~cycles net =
+  let engine = engine_record ~cycles net in
   let eng = Elastic_sim.Engine.create net in
   let tr = Trace.Tracer.create ~capacity:262144 eng in
   let vcd = Option.map (fun _ -> Trace.Vcd.create net) artifact in
-  Elastic_sim.Engine.set_observer eng
-    (Some
-       (fun e ->
-          Trace.Tracer.observe tr e;
-          Option.iter (fun r -> Trace.Vcd.observe r e) vcd));
-  Elastic_sim.Engine.run eng cycles;
-  let evs = Trace.Tracer.events tr in
-  (match artifact, vcd with
-   | Some base, Some r ->
-     Trace.Vcd.save (base ^ ".vcd") r;
-     Trace.Jsonl.save (base ^ ".jsonl") net evs;
-     Fmt.pr "wrote %s.vcd and %s.jsonl (%d events)@." base base
-       (List.length evs)
-   | _, _ -> ());
-  [ ("speculation", timeline_json net (Trace.Timeline.analyze evs));
-    ("attribution", attribution_json (Trace.Attribution.analyze eng)) ]
-
-(* ------------------------------------------------------------------ *)
-(* Metrics fields (lib/metrics): one instrumented run per experiment    *)
-(* writes the METRICS_E<k>.prom snapshot and .jsonl window series, and  *)
-(* distils the per-scheduler families into gate-checkable numbers (the  *)
-(* replay-penalty histogram concentrated at exactly one cycle is the    *)
-(* paper's Sec. 5.2 claim).                                             *)
-
-let metrics_record ~artifact ~cycles net =
-  let eng = Elastic_sim.Engine.create net in
   let jsonl = Buffer.create 4096 in
   let windows = ref 0 in
   let on_window r =
@@ -195,14 +211,37 @@ let metrics_record ~artifact ~cycles net =
   let window = 50 in
   let sampler = Metr.Sampler.create ~window ~on_window eng in
   Elastic_sim.Engine.set_observer eng
-    (Some (Metr.Sampler.observe sampler));
+    (Some
+       (fun e ->
+          Trace.Tracer.observe tr e;
+          Option.iter (fun r -> Trace.Vcd.observe r e) vcd;
+          Metr.Sampler.observe sampler e));
   Elastic_sim.Engine.run eng cycles;
+  let evs = Trace.Tracer.events tr in
+  (match artifact, vcd with
+   | Some base, Some r ->
+     Trace.Vcd.save (base ^ ".vcd") r;
+     Trace.Jsonl.save (base ^ ".jsonl") net evs;
+     Fmt.pr "wrote %s.vcd and %s.jsonl (%d events)@." base base
+       (List.length evs)
+   | _, _ -> ());
+  let tls = Trace.Timeline.analyze evs in
+  (* Sec. 4.3: every squash replays in exactly one cycle. *)
+  List.iter
+    (fun (tl : Trace.Timeline.sched_timeline) ->
+       List.iter
+         (fun p ->
+            claim experiment "speculation.squash_penalties" (p = 1)
+              (Fmt.str "squash penalty %d <> 1 cycle" p))
+         tl.Trace.Timeline.tl_penalties)
+    tls;
   let samples = Metr.Sampler.sample sampler eng in
-  Out_channel.with_open_text (artifact ^ ".prom") (fun oc ->
+  let metrics = "METRICS_" ^ experiment in
+  Out_channel.with_open_text (metrics ^ ".prom") (fun oc ->
       Out_channel.output_string oc (Metr.Prometheus.render samples));
-  Out_channel.with_open_text (artifact ^ ".jsonl") (fun oc ->
+  Out_channel.with_open_text (metrics ^ ".jsonl") (fun oc ->
       Buffer.output_buffer oc jsonl);
-  Fmt.pr "wrote %s.prom and %s.jsonl (%d windows)@." artifact artifact
+  Fmt.pr "wrote %s.prom and %s.jsonl (%d windows)@." metrics metrics
     !windows;
   let scheds =
     List.filter_map
@@ -231,6 +270,14 @@ let metrics_record ~artifact ~cycles net =
              | Some (Metr.Metrics.Histogram h) -> h
              | _ -> Metr.Histogram.empty
            in
+           let replays = Metr.Histogram.s_count penalty in
+           let p50 = Metr.Histogram.s_quantile penalty 0.5 in
+           let p99 = Metr.Histogram.s_quantile penalty 0.99 in
+           claim experiment "metrics.schedulers"
+             (replays = 0 || (p50 = 1 && p99 = 1))
+             (Fmt.str
+                "replay penalty not concentrated at 1 cycle (p50 %d, p99 %d)"
+                p50 p99);
            Some
              (Json.Obj
                 [ ("scheduler", Json.Str node);
@@ -242,19 +289,20 @@ let metrics_record ~artifact ~cycles net =
                       else
                         1.0
                         -. (float_of_int squashes /. float_of_int serves)));
-                  ("replays", Json.Int (Metr.Histogram.s_count penalty));
-                  ("replay_p50",
-                   Json.Int (Metr.Histogram.s_quantile penalty 0.5));
-                  ("replay_p99",
-                   Json.Int (Metr.Histogram.s_quantile penalty 0.99));
+                  ("replays", Json.Int replays);
+                  ("replay_p50", Json.Int p50);
+                  ("replay_p99", Json.Int p99);
                   ("replay_max", Json.Int (Metr.Histogram.s_max penalty)) ])
          end
          else None)
       samples
   in
-  ("metrics",
-   Json.Obj
-     [ ("window", Json.Int window); ("schedulers", Json.List scheds) ])
+  [ ("engine", engine);
+    ("speculation", timeline_json net tls);
+    ("attribution", attribution_json (Trace.Attribution.analyze eng));
+    ("metrics",
+     Json.Obj
+       [ ("window", Json.Int window); ("schedulers", Json.List scheds) ]) ]
 
 (* ------------------------------------------------------------------ *)
 (* E1: Table 1                                                          *)
@@ -268,51 +316,86 @@ let table1_expected =
     ("Sched", [ "0"; "1"; "0"; "1"; "0"; "1"; "0" ]);
     ("EBin", [ "A"; "B"; "*"; "D"; "E"; "*"; "F" ]) ]
 
+(* The Table 1 net, its trace rows and whether they match the paper
+   cell for cell. *)
 let e1_table1 () =
-  section "E1: Table 1 — trace of the speculative system of Fig. 1(d)";
-  let rows = Figures.table1_trace (Figures.table1 ()) in
-  Fmt.pr "%a" Figures.pp_table1 rows;
+  let h = Figures.table1 () in
+  let rows = Figures.table1_trace h in
   let matches =
     List.for_all2
       (fun (label, cells) r ->
          String.equal label r.Figures.label && cells = r.Figures.cells)
       table1_expected rows
   in
+  (h.Figures.t1_net, rows, matches)
+
+let print_e1 (_, rows, matches) =
+  section "E1: Table 1 — trace of the speculative system of Fig. 1(d)";
+  Fmt.pr "%a" Figures.pp_table1 rows;
   Fmt.pr
     "@.cycle-exact match with the paper: %b@.(the paper's EBin row prints \
      G at cycle 6, inconsistent with its own Sel row — the consistent \
      delivery is F; all other 48 cells match verbatim)@."
     matches
 
+let json_e1 (net, rows, matches) =
+  record ~experiment:"E1" ~title:"Table 1 trace of Fig. 1(d)"
+    [ ("cycle_exact_match", Json.Bool matches);
+      ("rows", Json.Int (List.length rows));
+      ("engine", engine_record ~cycles:64 net) ]
+
 (* ------------------------------------------------------------------ *)
 (* E2: Fig. 1 design points                                             *)
 
-let e2_fig1 () =
-  section "E2: Fig. 1 — bubble insertion vs Shannon vs speculation";
+type e2_point = {
+  p_name : string;  (* record key, e.g. "a_nonspeculative" *)
+  p_tput : float;
+  p_bound : float;  (* marked-graph throughput bound *)
+  p_ct : float;  (* cycle time *)
+  p_area : float;
+}
+
+(* Designs (a)-(d) of Fig. 1, each run for [cycles] cycles; returns the
+   run length, the net of (d) and the four points. *)
+let e2_fig1 ~quick =
+  let cycles = if quick then 100 else 400 in
   let params = Figures.default_params in
-  let point name (h : Figures.handles) =
-    let tput = run_windowed h.Figures.net h.Figures.sink 400 in
-    let ct = Timing.cycle_time h.Figures.net in
-    let bound = Elastic_perf.Marked_graph.throughput_bound h.Figures.net in
-    let area = Area.total h.Figures.net in
-    Fmt.pr
-      "  %-24s tput %.3f  bound %.3f  cycle %5.2f  effective %6.2f  area \
-       %6.1f@."
-      name tput bound ct (ct /. tput) area
+  let point (name, (h : Figures.handles)) =
+    { p_name = name;
+      p_tput = run_windowed h.Figures.net h.Figures.sink cycles;
+      p_bound = Elastic_perf.Marked_graph.throughput_bound h.Figures.net;
+      p_ct = Timing.cycle_time h.Figures.net;
+      p_area = Area.total h.Figures.net }
   in
+  let d = Figures.fig1d ~params () in
+  ( cycles,
+    d.Figures.net,
+    List.map point
+      [ ("a_nonspeculative", Figures.fig1a ~params ());
+        ("b_bubble", Figures.fig1b ~params ());
+        ("c_shannon_early", Figures.fig1c ~params ());
+        ("d_speculation", d) ] )
+
+(* The points, then a prediction-accuracy sweep of (d) against the
+   effective cycle time of (a). *)
+let print_e2 (_, _, points) =
+  section "E2: Fig. 1 — bubble insertion vs Shannon vs speculation";
   Fmt.pr "paper's qualitative claims: (b) halves throughput; (c) optimal \
           but duplicates F;@.(d) matches (c) at high accuracy with less \
           area.@.@.";
-  point "(a) non-speculative" (Figures.fig1a ~params ());
-  point "(b) bubble insertion" (Figures.fig1b ~params ());
-  point "(c) Shannon + early" (Figures.fig1c ~params ());
-  point "(d) speculation 100%" (Figures.fig1d ~params ());
+  List.iter2
+    (fun label p ->
+       Fmt.pr
+         "  %-24s tput %.3f  bound %.3f  cycle %5.2f  effective %6.2f  area \
+          %6.1f@."
+         label p.p_tput p.p_bound p.p_ct (p.p_ct /. p.p_tput) p.p_area)
+    [ "(a) non-speculative"; "(b) bubble insertion"; "(c) Shannon + early";
+      "(d) speculation 100%" ]
+    points;
   Fmt.pr "@.prediction-accuracy sweep of (d), crossover against (a):@.";
-  let eff_a =
-    let h = Figures.fig1a ~params () in
-    Timing.cycle_time h.Figures.net
-    /. run_windowed h.Figures.net h.Figures.sink 400
-  in
+  let a = List.hd points in
+  let eff_a = a.p_ct /. a.p_tput in
+  let params = Figures.default_params in
   let crossover = ref None in
   List.iter
     (fun acc ->
@@ -330,12 +413,26 @@ let e2_fig1 () =
          acc tput eff
          (if eff < eff_a then "beats (a)" else ""))
     [ 50; 60; 70; 75; 80; 90; 95; 99; 100 ];
-  (match !crossover with
-   | Some acc ->
-     Fmt.pr
-       "  -> speculation pays off above ~%d%% accuracy (vs effective ct %.2f)@."
-       acc eff_a
-   | None -> Fmt.pr "  -> no crossover in the sweep@.")
+  match !crossover with
+  | Some acc ->
+    Fmt.pr
+      "  -> speculation pays off above ~%d%% accuracy (vs effective ct %.2f)@."
+      acc eff_a
+  | None -> Fmt.pr "  -> no crossover in the sweep@."
+
+let json_e2 (cycles, net, points) =
+  let point p =
+    Json.Obj
+      [ ("design", Json.Str p.p_name);
+        ("throughput", Json.Float p.p_tput);
+        ("bound", Json.Float p.p_bound);
+        ("cycle_time", Json.Float p.p_ct);
+        ("effective_cycle_time", Json.Float (p.p_ct /. p.p_tput));
+        ("area", Json.Float p.p_area) ]
+  in
+  record ~experiment:"E2" ~title:"Fig. 1 design points"
+    [ ("points", Json.List (List.map point points));
+      ("engine", engine_record ~cycles net) ]
 
 (* ------------------------------------------------------------------ *)
 (* E3/E4: exhaustive verification (the paper's NuSMV step)              *)
@@ -410,7 +507,13 @@ let zoo () =
       "shared module, all schedulers (Fig. 4, leads-to assumed)";
     shared Scheduler.Sticky "shared module, sticky scheduler" ]
 
-let e3_e4_verify () =
+(* Every controller of the zoo, explored exhaustively. *)
+let e3_verify () =
+  List.map
+    (fun (name, net) -> (name, Elastic_check.Explore.explore net))
+    (zoo ())
+
+let print_e3 outcomes =
   section
     "E3/E4: exhaustive verification of the controllers (paper Sec. 4.2)";
   Fmt.pr
@@ -418,53 +521,107 @@ let e3_e4_verify () =
      checks the SELF protocol (Retry+/Retry-/kill-stop invariant),@.\
      deadlock freedom and channel liveness.@.@.";
   List.iter
-    (fun (name, net) ->
-       let o = Elastic_check.Explore.explore net in
+    (fun (name, o) ->
        Fmt.pr "  %-55s %6d states %7d transitions  %s@." name
          o.Elastic_check.Explore.explored
          o.Elastic_check.Explore.transitions
          (if Elastic_check.Explore.clean o then "VERIFIED" else "FAILED"))
-    (zoo ());
+    outcomes;
   (* The negative control: a non-compliant scheduler starves. *)
-  let _, net =
-    List.nth (zoo ()) 4
-  in
-  ignore net;
   Fmt.pr
     "@.(a Static scheduler on the same loop violates leads-to and \
      starves a channel;@. kept as a regression test in \
      test/test_check.ml)@."
 
+let json_e3 outcomes =
+  let controller (name, o) =
+    Json.Obj
+      [ ("controller", Json.Str name);
+        ("states", Json.Int o.Elastic_check.Explore.explored);
+        ("transitions", Json.Int o.Elastic_check.Explore.transitions);
+        ("verified", Json.Bool (Elastic_check.Explore.clean o)) ]
+  in
+  record ~experiment:"E3" ~title:"exhaustive controller verification"
+    [ ("controllers", Json.List (List.map controller outcomes)) ]
+
 (* ------------------------------------------------------------------ *)
 (* E5: variable-latency ALU                                             *)
 
-let e5_fig6 () =
+type e5 = {
+  e5_cycles : int;  (* run length of every point: 2 x operations *)
+  e5_points : (int * float * float) list;
+      (* error rate (%), stalling and speculative throughput *)
+  e5_ct : float * float;  (* cycle time, stalling and speculative *)
+  e5_gain_pct : float;  (* cycle-time improvement of speculation *)
+  e5_area_pct : float;  (* area overhead of speculation *)
+  e5_net : Netlist.t;  (* the speculative design *)
+}
+
+(* The Fig. 6 sweep.  Sec. 5.1: speculation buys its ~9% shorter clock
+   without giving back tokens/cycle at any error rate. *)
+let e5_fig6 ~quick =
+  let n = if quick then 100 else 400 in
+  let pcts = if quick then [ 0; 5; 20 ] else [ 0; 1; 5; 10; 20; 40 ] in
+  let points =
+    List.map
+      (fun pct ->
+         let ops = Alu.operands ~error_rate_pct:pct ~seed:42 n in
+         let ds = Examples.vl_stalling ~ops in
+         let dp = Examples.vl_speculative ~ops in
+         ( pct,
+           run_windowed ds.Examples.d_net ds.Examples.d_sink (2 * n),
+           run_windowed dp.Examples.d_net dp.Examples.d_sink (2 * n) ))
+      pcts
+  in
+  let ops = Alu.operands ~error_rate_pct:5 ~seed:42 n in
+  let ds = Examples.vl_stalling ~ops in
+  let dp = Examples.vl_speculative ~ops in
+  let cs = Timing.cycle_time ds.Examples.d_net in
+  let cp = Timing.cycle_time dp.Examples.d_net in
+  let gain = 100.0 *. (1.0 -. (cp /. cs)) in
+  claim "E5" "cycle_time_improvement_pct" (gain > 0.0)
+    (Fmt.str "speculation gain not positive (%g%%)" gain);
+  List.iteri
+    (fun i (_, ts, tp) ->
+       claim "E5"
+         (Fmt.str "points[%d].speculative_throughput" i)
+         (not (tp < ts -. 1e-9))
+         (Fmt.str "below the stalling design (%g < %g)" tp ts))
+    points;
+  let a = Area.total ds.Examples.d_net in
+  { e5_cycles = 2 * n;
+    e5_points = points;
+    e5_ct = (cs, cp);
+    e5_gain_pct = gain;
+    e5_area_pct = 100.0 *. ((Area.total dp.Examples.d_net -. a) /. a);
+    e5_net = dp.Examples.d_net }
+
+let print_e5 m =
   section "E5: Fig. 6 / Sec. 5.1 — variable-latency ALU";
-  let n = 400 in
+  let cs, cp = m.e5_ct in
   Fmt.pr "  err%%  | stalling 6(a): tput  eff.ct | speculative 6(b): tput \
           eff.ct@.";
   List.iter
-    (fun pct ->
-       let ops = Alu.operands ~error_rate_pct:pct ~seed:42 n in
-       let ds = Examples.vl_stalling ~ops in
-       let dp = Examples.vl_speculative ~ops in
-       let ts = run_windowed ds.Examples.d_net ds.Examples.d_sink (2 * n) in
-       let tp = run_windowed dp.Examples.d_net dp.Examples.d_sink (2 * n) in
-       let cs = Timing.cycle_time ds.Examples.d_net in
-       let cp = Timing.cycle_time dp.Examples.d_net in
+    (fun (pct, ts, tp) ->
        Fmt.pr "  %-5d |              %.3f  %6.2f |                   %.3f  \
                %6.2f@."
          pct ts (cs /. ts) tp (cp /. tp))
-    [ 0; 1; 5; 10; 20; 40 ];
-  let ops = Alu.operands ~error_rate_pct:5 ~seed:42 8 in
-  let cs = Timing.cycle_time (Examples.vl_stalling ~ops).Examples.d_net in
-  let cp = Timing.cycle_time (Examples.vl_speculative ~ops).Examples.d_net in
-  let as_ = Area.total (Examples.vl_stalling ~ops).Examples.d_net in
-  let ap = Area.total (Examples.vl_speculative ~ops).Examples.d_net in
-  Fmt.pr "@.  cycle-time improvement %.1f%%   (paper:  ~9%%)@."
-    (100.0 *. (1.0 -. (cp /. cs)));
-  Fmt.pr "  area overhead          %.1f%%   (paper: ~12%%)@."
-    (100.0 *. ((ap -. as_) /. as_))
+    m.e5_points;
+  Fmt.pr "@.  cycle-time improvement %.1f%%   (paper:  ~9%%)@." m.e5_gain_pct;
+  Fmt.pr "  area overhead          %.1f%%   (paper: ~12%%)@." m.e5_area_pct
+
+let json_e5 ?artifact m =
+  let point (pct, ts, tp) =
+    Json.Obj
+      [ ("error_rate_pct", Json.Int pct);
+        ("stalling_throughput", Json.Float ts);
+        ("speculative_throughput", Json.Float tp) ]
+  in
+  record ~experiment:"E5" ~title:"variable-latency ALU (Fig. 6)"
+    ([ ("points", Json.List (List.map point m.e5_points));
+       ("cycle_time_improvement_pct", Json.Float m.e5_gain_pct);
+       ("area_overhead_pct", Json.Float m.e5_area_pct) ]
+     @ design_blocks ~experiment:"E5" ?artifact ~cycles:m.e5_cycles m.e5_net)
 
 (* ------------------------------------------------------------------ *)
 (* E6: resilient adder                                                  *)
@@ -486,27 +643,73 @@ let e6_measure ~n ops (d : Examples.design) =
   in
   (Elastic_sim.Engine.windowed_throughput eng d.Examples.d_sink, first)
 
-let e6_fig7 () =
+type e6 = {
+  e6_cycles : int;  (* run length of every point: 2 x operations *)
+  e6_points : (int * (float * int) * (float * int)) list;
+      (* error rate (%), then throughput and first delivery of the
+         non-speculative and of the speculative design *)
+  e6_area_pct : float;  (* area overhead of speculation on the stage *)
+  e6_net : Netlist.t;  (* the speculative design *)
+}
+
+(* The Fig. 7 sweep.  Sec. 5.2: speculation removes one pipeline stage
+   of latency at every error rate. *)
+let e6_fig7 ~quick =
+  let n = if quick then 100 else 400 in
+  let pcts = if quick then [ 0; 5; 25 ] else [ 0; 2; 5; 10; 25 ] in
+  let points =
+    List.map
+      (fun pct ->
+         let ops = Examples.rs_ops ~error_rate_pct:pct ~seed:5 n in
+         ( pct,
+           e6_measure ~n ops (Examples.rs_nonspeculative ~ops),
+           e6_measure ~n ops (Examples.rs_speculative ~ops) ))
+      pcts
+  in
+  List.iteri
+    (fun i (_, (_, ln), (_, ls)) ->
+       claim "E6"
+         (Fmt.str "points[%d].spec_first_delivery" i)
+         (ls < ln)
+         (Fmt.str "no latency removed (spec %d, nonspec %d)" ls ln))
+    points;
+  let ops = Examples.rs_ops ~error_rate_pct:5 ~seed:5 n in
+  let dn = Examples.rs_nonspeculative ~ops in
+  let dp = Examples.rs_speculative ~ops in
+  let a = Area.total dn.Examples.d_net in
+  { e6_cycles = 2 * n;
+    e6_points = points;
+    e6_area_pct = 100.0 *. ((Area.total dp.Examples.d_net -. a) /. a);
+    e6_net = dp.Examples.d_net }
+
+let print_e6 m =
   section "E6: Fig. 7 / Sec. 5.2 — SECDED-protected adder";
-  let n = 400 in
   Fmt.pr "  err%%  | non-spec 7(a): tput 1st | speculative 7(b): tput 1st@.";
   List.iter
-    (fun pct ->
-       let ops = Examples.rs_ops ~error_rate_pct:pct ~seed:5 n in
-       let tn, ln = e6_measure ~n ops (Examples.rs_nonspeculative ~ops) in
-       let ts, ls = e6_measure ~n ops (Examples.rs_speculative ~ops) in
+    (fun (pct, (tn, ln), (ts, ls)) ->
        Fmt.pr "  %-5d |            %.3f   %d   |                 %.3f   \
                %d@."
          pct tn ln ts ls)
-    [ 0; 2; 5; 10; 25 ];
-  let ops = Examples.rs_ops ~error_rate_pct:0 ~seed:5 4 in
-  let an = Area.total (Examples.rs_nonspeculative ~ops).Examples.d_net in
-  let ap = Area.total (Examples.rs_speculative ~ops).Examples.d_net in
+    m.e6_points;
   Fmt.pr
     "@.  all sums corrected and verified in both designs@.  one pipeline \
      stage of latency removed; one cycle lost per corrected error@.  \
      area overhead on the stage %.1f%%   (paper: ~36%%)@."
-    (100.0 *. ((ap -. an) /. an))
+    m.e6_area_pct
+
+let json_e6 ?artifact m =
+  let point (pct, (tn, ln), (ts, ls)) =
+    Json.Obj
+      [ ("error_rate_pct", Json.Int pct);
+        ("nonspec_throughput", Json.Float tn);
+        ("nonspec_first_delivery", Json.Int ln);
+        ("spec_throughput", Json.Float ts);
+        ("spec_first_delivery", Json.Int ls) ]
+  in
+  record ~experiment:"E6" ~title:"SECDED-protected adder (Fig. 7)"
+    ([ ("points", Json.List (List.map point m.e6_points));
+       ("area_overhead_pct", Json.Float m.e6_area_pct) ]
+     @ design_blocks ~experiment:"E6" ?artifact ~cycles:m.e6_cycles m.e6_net)
 
 (* ------------------------------------------------------------------ *)
 (* E7: Sec. 5.2 under adversarial fault injection.  The cooperative     *)
@@ -518,34 +721,28 @@ let e6_fig7 () =
 (* glitch must be flagged by the SELF protocol monitors with            *)
 (* cycle/node/channel provenance.                                       *)
 
-(* The SECDED setup shared by E7, E8, E10 and --chaos: the speculative
-   resilient adder over 400 operand pairs, its severity alarm tripping
-   at >= 2, and the operand bus out of [src] (two SECDED(72,64)
-   codewords, 144 payload bits) where the upsets land. *)
-let secded_setup () =
-  let ops = Examples.rs_ops ~error_rate_pct:0 ~seed:5 400 in
-  let d, alarm = Examples.rs_speculative_alarmed ~ops in
-  let net = d.Examples.d_net in
-  let src = Option.get (Netlist.find_node net "src") in
-  let op_bus =
-    List.find
-      (fun (c : Netlist.channel) ->
-         c.Netlist.src.Netlist.ep_node = src.Netlist.id)
-      (Netlist.channels net)
+(* The SECDED campaign shared by E7, E8, E10 and --chaos: the
+   speculative resilient adder over 400 operand pairs, its severity
+   alarm, the 144-bit operand bus (2 x SECDED(72,64) codewords) and
+   [count] seeded single-bit upsets anywhere on it. *)
+let secded_campaign ~count =
+  let d, alarms, op_bus =
+    Examples.rs_secded_setup
+      ~ops:(Examples.rs_ops ~error_rate_pct:0 ~seed:5 400)
   in
-  (net, [ (alarm, fun v -> Value.to_int v >= 2) ], op_bus.Netlist.ch_id)
+  let net = d.Examples.d_net in
+  ( net,
+    alarms,
+    op_bus,
+    Elastic_fault.Campaign.random_bitflips ~net ~channel:op_bus ~seed:2009
+      ~count ~from_cycle:2 ~to_cycle:350 ~bit_hi:144 () )
 
 let e7_faults () =
   let open Elastic_fault in
   section "E7: Sec. 5.2 under adversarial fault injection";
   let seed = 2009 in
-  let net, alarms, op_bus = secded_setup () in
-  (* 1. 120 seeded single-bit upsets anywhere in the 144-bit operand
-     payload (2 x SECDED(72,64) codewords). *)
-  let singles =
-    Campaign.random_bitflips ~net ~channel:op_bus ~seed
-      ~count:120 ~from_cycle:2 ~to_cycle:350 ~bit_hi:144 ()
-  in
+  (* 1. 120 single-bit upsets. *)
+  let net, alarms, op_bus, singles = secded_campaign ~count:120 in
   let s1 = Campaign.run ~cycles:450 ~settle:60 ~alarms net ~scenarios:singles in
   Fmt.pr "  single-bit operand upsets (seed %d): %a@." seed
     Campaign.pp_summary s1;
@@ -588,20 +785,25 @@ module Runner = Elastic_runner.Runner
 module Workload = Elastic_runner.Workload
 module Rcheckpoint = Elastic_runner.Checkpoint
 
-(* The PR-1 SECDED campaign of E7, as one runner task per scenario:
-   seeded single-bit upsets anywhere in the 144-bit operand payload of
-   the speculative resilient adder, severity alarm at >= 2. *)
+(* The SECDED campaign as one runner task per scenario. *)
 let secded_tasks ~count () =
-  let open Elastic_fault in
-  let net, alarms, op_bus = secded_setup () in
-  let scenarios =
-    Campaign.random_bitflips ~net ~channel:op_bus ~seed:2009
-      ~count ~from_cycle:2 ~to_cycle:350 ~bit_hi:144 ()
-  in
+  let net, alarms, _, scenarios = secded_campaign ~count in
   Workload.of_campaign ~cycles:450 ~settle:60 ~alarms ~name:"secded" net
     ~scenarios
 
 let no_sleep _ = ()
+
+(* One run of the campaign on [workers] workers and its wall-clock
+   seconds.  Each run builds its own task list, so each computes its
+   own golden reference and every run times the same work. *)
+let timed_campaign ~obs ~name ~count workers =
+  let tasks = secded_tasks ~count () in
+  let t0 = Elastic_sim.Clock.monotonic () in
+  let r =
+    Runner.run ~workers ~sleep:no_sleep ?obs
+      ~name:(Fmt.str "%s-w%d" name workers) tasks
+  in
+  (r, Elastic_sim.Clock.seconds_between t0 (Elastic_sim.Clock.monotonic ()))
 
 (* ------------------------------------------------------------------ *)
 (* --chaos: the crash-recovery equivalence claim, end to end.  The      *)
@@ -839,32 +1041,14 @@ let bechamel_suite () =
     (List.sort (fun (a, _) (b, _) -> String.compare a b) rows)
 
 (* ------------------------------------------------------------------ *)
-(* --json: machine-readable trajectory records, one BENCH_E<k>.json per *)
-(* experiment, written to the current directory.  Each record carries   *)
-(* the experiment's headline numbers plus an [engine] block comparing   *)
-(* the arena's scheduled settle against the reference fixpoint on that  *)
-(* experiment's main design.  Schema: EXPERIMENTS.md.                   *)
+(* E8-E10: records only --json writes; they have no text report.        *)
 
-(* quick and full sweeps produce different numbers; stamping the mode
-   into the record makes a baseline/run mismatch fail the gate with a
-   readable diff instead of dozens of numeric ones. *)
-let run_mode = ref "full"
-
-let record ~experiment ~title fields =
-  Metr.Gate.record ~experiment ~title ~mode:!run_mode fields
-
-(* Each point builds its own task list, so every run computes its own
-   golden reference and the points time the same work. *)
-let json_e8 ~count () =
+(* E8: the runner's determinism contract: every worker count completes all
+   shards and reproduces the 1-worker merged snapshot byte-for-byte. *)
+let json_e8 ~quick =
+  let count = if quick then 24 else 96 in
   let run_at w =
-    let tasks = secded_tasks ~count () in
-    let t0 = Elastic_sim.Clock.monotonic () in
-    let r =
-      Runner.run ~workers:w ~sleep:no_sleep ~name:(Fmt.str "e8-w%d" w) tasks
-    in
-    let dt =
-      Elastic_sim.Clock.seconds_between t0 (Elastic_sim.Clock.monotonic ())
-    in
+    let r, dt = timed_campaign ~obs:None ~name:"e8" ~count w in
     (w, r, dt)
   in
   let runs = List.map run_at [ 1; 2; 4; 8 ] in
@@ -874,17 +1058,25 @@ let json_e8 ~count () =
     | [] -> ""
   in
   let points =
-    List.map
-      (fun (w, r, dt) ->
+    List.mapi
+      (fun i (w, r, dt) ->
+         let shards = List.length r.Runner.r_shards in
+         let identical =
+           String.equal reference (Metr.Prometheus.render r.Runner.r_merged)
+         in
+         claim "E8"
+           (Fmt.str "points[%d].merged_identical" i)
+           identical "merged snapshot differs from the 1-worker run";
+         claim "E8"
+           (Fmt.str "points[%d].completed" i)
+           (r.Runner.r_completed = shards)
+           "campaign did not complete every shard";
          Json.Obj
            [ ("workers", Json.Int w);
-             ("shards", Json.Int (List.length r.Runner.r_shards));
+             ("shards", Json.Int shards);
              ("completed", Json.Int r.Runner.r_completed);
              ("failed", Json.Int r.Runner.r_failed);
-             ("merged_identical",
-              Json.Bool
-                (String.equal reference
-                   (Metr.Prometheus.render r.Runner.r_merged)));
+             ("merged_identical", Json.Bool identical);
              ("elapsed_seconds", Json.Float dt) ])
       runs
   in
@@ -900,121 +1092,6 @@ let json_e8 ~count () =
       ("classification",
        Json.Obj (List.map (fun (l, c) -> (l, Json.Int c)) classes)) ]
 
-let json_e1 ~cycles () =
-  let h = Figures.table1 () in
-  let rows = Figures.table1_trace h in
-  let matches =
-    List.for_all2
-      (fun (label, cells) r ->
-         String.equal label r.Figures.label && cells = r.Figures.cells)
-      table1_expected rows
-  in
-  record ~experiment:"E1" ~title:"Table 1 trace of Fig. 1(d)"
-    [ ("cycle_exact_match", Json.Bool matches);
-      ("rows", Json.Int (List.length rows));
-      ("engine", engine_record ~cycles h.Figures.t1_net) ]
-
-let json_e2 ~cycles () =
-  let params = Figures.default_params in
-  let point name (h : Figures.handles) =
-    let tput = run_windowed h.Figures.net h.Figures.sink cycles in
-    let ct = Timing.cycle_time h.Figures.net in
-    Json.Obj
-      [ ("design", Json.Str name);
-        ("throughput", Json.Float tput);
-        ("bound",
-         Json.Float (Elastic_perf.Marked_graph.throughput_bound h.Figures.net));
-        ("cycle_time", Json.Float ct);
-        ("effective_cycle_time", Json.Float (ct /. tput));
-        ("area", Json.Float (Area.total h.Figures.net)) ]
-  in
-  let d = Figures.fig1d ~params () in
-  record ~experiment:"E2" ~title:"Fig. 1 design points"
-    [ ("points",
-       Json.List
-         [ point "a_nonspeculative" (Figures.fig1a ~params ());
-           point "b_bubble" (Figures.fig1b ~params ());
-           point "c_shannon_early" (Figures.fig1c ~params ());
-           point "d_speculation" d ]);
-      ("engine", engine_record ~cycles d.Figures.net) ]
-
-let json_e3 () =
-  let outcomes =
-    List.map
-      (fun (name, net) ->
-         let o = Elastic_check.Explore.explore net in
-         Json.Obj
-           [ ("controller", Json.Str name);
-             ("states", Json.Int o.Elastic_check.Explore.explored);
-             ("transitions", Json.Int o.Elastic_check.Explore.transitions);
-             ("verified", Json.Bool (Elastic_check.Explore.clean o)) ])
-      (zoo ())
-  in
-  record ~experiment:"E3" ~title:"exhaustive controller verification"
-    [ ("controllers", Json.List outcomes) ]
-
-let json_e5 ~n ~pcts ?artifact () =
-  let points =
-    List.map
-      (fun pct ->
-         let ops = Alu.operands ~error_rate_pct:pct ~seed:42 n in
-         let ds = Examples.vl_stalling ~ops in
-         let dp = Examples.vl_speculative ~ops in
-         let ts = run_windowed ds.Examples.d_net ds.Examples.d_sink (2 * n) in
-         let tp = run_windowed dp.Examples.d_net dp.Examples.d_sink (2 * n) in
-         Json.Obj
-           [ ("error_rate_pct", Json.Int pct);
-             ("stalling_throughput", Json.Float ts);
-             ("speculative_throughput", Json.Float tp) ])
-      pcts
-  in
-  let ops = Alu.operands ~error_rate_pct:5 ~seed:42 n in
-  let ds = Examples.vl_stalling ~ops in
-  let dp = Examples.vl_speculative ~ops in
-  let cs = Timing.cycle_time ds.Examples.d_net in
-  let cp = Timing.cycle_time dp.Examples.d_net in
-  record ~experiment:"E5" ~title:"variable-latency ALU (Fig. 6)"
-    ([ ("points", Json.List points);
-       ("cycle_time_improvement_pct",
-        Json.Float (100.0 *. (1.0 -. (cp /. cs))));
-       ("area_overhead_pct",
-        Json.Float
-          (let a = Area.total ds.Examples.d_net in
-           100.0 *. ((Area.total dp.Examples.d_net -. a) /. a)));
-       ("engine", engine_record ~cycles:(2 * n) dp.Examples.d_net) ]
-     @ traced_record ?artifact ~cycles:(2 * n) dp.Examples.d_net
-     @ [ metrics_record ~artifact:"METRICS_E5" ~cycles:(2 * n)
-           dp.Examples.d_net ])
-
-let json_e6 ~n ~pcts ?artifact () =
-  let points =
-    List.map
-      (fun pct ->
-         let ops = Examples.rs_ops ~error_rate_pct:pct ~seed:5 n in
-         let tn, ln = e6_measure ~n ops (Examples.rs_nonspeculative ~ops) in
-         let ts, ls = e6_measure ~n ops (Examples.rs_speculative ~ops) in
-         Json.Obj
-           [ ("error_rate_pct", Json.Int pct);
-             ("nonspec_throughput", Json.Float tn);
-             ("nonspec_first_delivery", Json.Int ln);
-             ("spec_throughput", Json.Float ts);
-             ("spec_first_delivery", Json.Int ls) ])
-      pcts
-  in
-  let ops = Examples.rs_ops ~error_rate_pct:5 ~seed:5 n in
-  let dn = Examples.rs_nonspeculative ~ops in
-  let dp = Examples.rs_speculative ~ops in
-  record ~experiment:"E6" ~title:"SECDED-protected adder (Fig. 7)"
-    ([ ("points", Json.List points);
-       ("area_overhead_pct",
-        Json.Float
-          (let a = Area.total dn.Examples.d_net in
-           100.0 *. ((Area.total dp.Examples.d_net -. a) /. a)));
-       ("engine", engine_record ~cycles:(2 * n) dp.Examples.d_net) ]
-     @ traced_record ?artifact ~cycles:(2 * n) dp.Examples.d_net
-     @ [ metrics_record ~artifact:"METRICS_E6" ~cycles:(2 * n)
-           dp.Examples.d_net ])
-
 (* E9: arena backend speedup over the reference fixpoint.  Both       *)
 (* backends reach the same fixed point, so the sink streams must      *)
 (* agree; the arena's eval count is deterministic and compared        *)
@@ -1023,7 +1100,8 @@ let json_e6 ~n ~pcts ?artifact () =
 (* fields carry the [_seconds] / [_per_second] / [_speedup] suffixes  *)
 (* the gate skips.                                                    *)
 
-let json_e9 ~cycles () =
+let json_e9 ~quick =
+  let cycles = if quick then 4_000 else 20_000 in
   let measure mode net =
     (* Best of a few fresh engines: the minimum time is the one least
        polluted by scheduler noise on a loaded machine. *)
@@ -1045,13 +1123,25 @@ let json_e9 ~cycles () =
     done;
     (Option.get !keep, !best_settle, !best_run)
   in
-  let design name (d : Examples.design) =
+  let design i (name, (d : Examples.design)) =
     let rf, tr, rr = measure Elastic_sim.Engine.Reference d.Examples.d_net in
     let ar, ta, ra = measure Elastic_sim.Engine.Arena d.Examples.d_net in
     let stream eng =
       Transfer.values (Elastic_sim.Engine.sink_stream eng d.Examples.d_sink)
     in
     let speedup = tr /. ta in
+    let matches = List.equal Value.equal (stream rf) (stream ar) in
+    (* The floor: the arena settles 8.5-11x faster than the reference
+       fixpoint on the speculative designs; anything under 6.5x means
+       the arena hot path regressed, not that the machine was busy. *)
+    let speedup_ok = speedup >= 6.5 in
+    claim "E9"
+      (Fmt.str "designs[%d].arena_matches_reference" i)
+      matches "arena run diverged from the reference run";
+    claim "E9"
+      (Fmt.str "designs[%d].speedup_ok" i)
+      speedup_ok
+      (Fmt.str "arena speedup below the 6.5x floor (%gx)" speedup);
     Json.Obj
       [ ("design", Json.Str name);
         ("cycles", Json.Int cycles);
@@ -1063,20 +1153,17 @@ let json_e9 ~cycles () =
         ("end_to_end_speedup", Json.Float (rr /. ra));
         ("arena_node_evals",
          Json.Int (Elastic_sim.Profile.evals (Elastic_sim.Engine.profile ar)));
-        ("arena_matches_reference",
-         Json.Bool (List.equal Value.equal (stream rf) (stream ar)));
-        (* Floor for the --check gate: the arena settles 8.5-11x faster
-           than the reference fixpoint on the speculative designs;
-           anything under 6.5x means the arena hot path regressed, not
-           that the machine was busy. *)
-        ("speedup_ok", Json.Bool (speedup >= 6.5)) ]
+        ("arena_matches_reference", Json.Bool matches);
+        ("speedup_ok", Json.Bool speedup_ok) ]
   in
   let n = cycles / 2 in
   let e5 = Examples.vl_speculative ~ops:(Alu.operands ~error_rate_pct:5 ~seed:42 n) in
   let e6 = Examples.rs_speculative ~ops:(Examples.rs_ops ~error_rate_pct:5 ~seed:5 n) in
   record ~experiment:"E9" ~title:"arena backend settle speedup"
     [ ("designs",
-       Json.List [ design "vl_speculative" e5; design "rs_speculative" e6 ]) ]
+       Json.List
+         (List.mapi design [ ("vl_speculative", e5); ("rs_speculative", e6) ]))
+    ]
 
 (* E10: scheduling overhead of the supervised runner, measured from its
    own span ledger.  Each worker count of the scaling curve runs the
@@ -1085,21 +1172,15 @@ let json_e9 ~cycles () =
    its complement.  The cross-check that makes the ledger trustworthy:
    at 1 worker the shard spans must account for >= 95% of the campaign
    span — if they do not, the instrumentation is dropping time, and the
-   utilization numbers upstream of it mean nothing. *)
-let json_e10 ?artifact ~count () =
+   utilization numbers upstream of it mean nothing.  Nothing may be
+   dropped, and every point completes the whole campaign. *)
+let json_e10 ?artifact ~quick () =
+  let count = if quick then 24 else 60 in
   let module Collector = Elastic_obs.Collector in
   let module Span = Elastic_obs.Span in
   let run_at w =
-    let tasks = secded_tasks ~count () in
     let c = Collector.create () in
-    let t0 = Elastic_sim.Clock.monotonic () in
-    let r =
-      Runner.run ~workers:w ~sleep:no_sleep ~obs:c
-        ~name:(Fmt.str "e10-w%d" w) tasks
-    in
-    let wall =
-      Elastic_sim.Clock.seconds_between t0 (Elastic_sim.Clock.monotonic ())
-    in
+    let r, wall = timed_campaign ~obs:(Some c) ~name:"e10" ~count w in
     (w, r, c, wall)
   in
   let runs = List.map run_at [ 1; 2; 4; 8 ] in
@@ -1116,28 +1197,6 @@ let json_e10 ?artifact ~count () =
     List.fold_left (fun acc (_, s) -> acc +. s) 0.0
       (Collector.busy_seconds c)
   in
-  let points =
-    List.map
-      (fun (w, r, c, wall) ->
-         let busy = busy_total c in
-         let util =
-           if wall > 0.0 then
-             min 1.0 (busy /. (float_of_int w *. wall))
-           else 0.0
-         in
-         Json.Obj
-           [ ("workers", Json.Int w);
-             ("shards", Json.Int (List.length r.Runner.r_shards));
-             ("completed", Json.Int r.Runner.r_completed);
-             ("spans", Json.Int (Collector.recorded c));
-             ("spans_dropped", Json.Int (Collector.dropped c));
-             ("elapsed_seconds", Json.Float wall);
-             ("campaign_span_seconds", Json.Float (campaign_seconds c wall));
-             ("busy_seconds", Json.Float busy);
-             ("worker_utilization", Json.Float util);
-             ("scheduling_overhead", Json.Float (max 0.0 (1.0 -. util))) ])
-      runs
-  in
   (* The ledger-accounting cross-check, on the 1-worker run: with no
      parallel idling possible, shard spans vs the campaign span is a
      pure instrumentation-coverage measurement. *)
@@ -1148,6 +1207,41 @@ let json_e10 ?artifact ~count () =
       let ratio = if camp > 0.0 then busy_total c /. camp else 0.0 in
       (ratio, ratio >= 0.95)
     | _ -> (0.0, false)
+  in
+  claim "E10" "spans_account_ok" account_ok
+    (Fmt.str
+       "shard spans cover < 95%% of the 1-worker campaign span (ratio %g)"
+       account_ratio);
+  let points =
+    List.mapi
+      (fun i (w, r, c, wall) ->
+         let shards = List.length r.Runner.r_shards in
+         claim "E10"
+           (Fmt.str "points[%d].spans_dropped" i)
+           (Collector.dropped c = 0)
+           "span ring overflowed; raise the recorder capacity";
+         claim "E10"
+           (Fmt.str "points[%d].completed" i)
+           (r.Runner.r_completed = shards)
+           "campaign did not complete every shard";
+         let busy = busy_total c in
+         let util =
+           if wall > 0.0 then
+             min 1.0 (busy /. (float_of_int w *. wall))
+           else 0.0
+         in
+         Json.Obj
+           [ ("workers", Json.Int w);
+             ("shards", Json.Int shards);
+             ("completed", Json.Int r.Runner.r_completed);
+             ("spans", Json.Int (Collector.recorded c));
+             ("spans_dropped", Json.Int (Collector.dropped c));
+             ("elapsed_seconds", Json.Float wall);
+             ("campaign_span_seconds", Json.Float (campaign_seconds c wall));
+             ("busy_seconds", Json.Float busy);
+             ("worker_utilization", Json.Float util);
+             ("scheduling_overhead", Json.Float (max 0.0 (1.0 -. util))) ])
+      runs
   in
   (match (artifact, List.rev runs) with
    | Some base, (_, _, c, _) :: _ ->
@@ -1168,11 +1262,11 @@ let json_e10 ?artifact ~count () =
       ("spans_account_ok", Json.Bool account_ok) ]
 
 (* ------------------------------------------------------------------ *)
-(* --check: the regression gate.  Re-derives the paper's headline       *)
-(* claims from the records just produced, then diffs each record        *)
-(* against its committed baseline (bench/baselines/) with the shared    *)
-(* Gate rules.  Any failure names the record, the metric path and the   *)
-(* delta, and the process exits 1.                                      *)
+(* --check: the regression gate.  Reports the paper's claims that       *)
+(* failed while the records were built, then diffs each record against  *)
+(* its committed baseline (bench/baselines/) with the shared Gate       *)
+(* rules.  Any failure names the record, the metric path and the        *)
+(* reason, and the process exits 1.                                     *)
 
 (* Never raises: a vanished, unreadable or truncated baseline must fail
    the gate with a message naming the file, not an exception trace. *)
@@ -1181,194 +1275,14 @@ let read_file path =
   | text -> Ok text
   | exception Sys_error m -> Error m
 
-let claim_checks fail path j =
-  let experiment =
-    match Json.member "experiment" j with
-    | Some (Json.Str e) -> e
-    | _ -> ""
-  in
-  let flt v = Option.value ~default:nan (Json.to_float v) in
-  (* E5 (Sec. 5.1): speculation buys its ~9% shorter clock without
-     giving back tokens/cycle at any error rate of the sweep. *)
-  if String.equal experiment "E5" then begin
-    (match Json.member "cycle_time_improvement_pct" j with
-     | Some v ->
-       if not (flt v > 0.0) then
-         fail path "cycle_time_improvement_pct"
-           (Fmt.str "speculation gain not positive (%g%%)" (flt v))
-     | None -> fail path "cycle_time_improvement_pct" "missing");
-    match Json.member "points" j with
-    | Some (Json.List pts) ->
-      List.iteri
-        (fun i p ->
-           match
-             ( Json.member "stalling_throughput" p,
-               Json.member "speculative_throughput" p )
-           with
-           | Some s, Some sp ->
-             if flt sp < flt s -. 1e-9 then
-               fail path
-                 (Fmt.str "points[%d].speculative_throughput" i)
-                 (Fmt.str "below the stalling design (%g < %g)" (flt sp)
-                    (flt s))
-           | _ -> fail path (Fmt.str "points[%d]" i) "missing throughputs")
-        pts
-    | _ -> fail path "points" "missing"
-  end;
-  (* E6 (Sec. 5.2): the speculative design removes one pipeline stage
-     of latency at every error rate. *)
-  if String.equal experiment "E6" then begin
-    match Json.member "points" j with
-    | Some (Json.List pts) ->
-      List.iteri
-        (fun i p ->
-           match
-             ( Json.member "spec_first_delivery" p,
-               Json.member "nonspec_first_delivery" p )
-           with
-           | Some (Json.Int s), Some (Json.Int ns) ->
-             if not (s < ns) then
-               fail path
-                 (Fmt.str "points[%d].spec_first_delivery" i)
-                 (Fmt.str "no latency removed (spec %d, nonspec %d)" s ns)
-           | _ -> fail path (Fmt.str "points[%d]" i) "missing deliveries")
-        pts
-    | _ -> fail path "points" "missing"
-  end;
-  (* E9: the arena backend must agree with the reference fixpoint on the
-     sink streams and must actually be faster — a speedup under the
-     floor means the flat hot path regressed.  Its eval count is
-     compared exactly by the baseline diff. *)
-  if String.equal experiment "E9" then begin
-    match Json.member "designs" j with
-    | Some (Json.List ds) ->
-      List.iteri
-        (fun i d ->
-           (match Json.member "arena_matches_reference" d with
-            | Some (Json.Bool true) -> ()
-            | _ ->
-              fail path
-                (Fmt.str "designs[%d].arena_matches_reference" i)
-                "arena run diverged from the reference run");
-           match Json.member "speedup_ok" d with
-           | Some (Json.Bool true) -> ()
-           | _ ->
-             fail path
-               (Fmt.str "designs[%d].speedup_ok" i)
-               (Fmt.str "arena speedup below the 6.5x floor (%gx)"
-                  (match Json.member "arena_speedup" d with
-                   | Some v -> flt v
-                   | None -> nan)))
-        ds
-    | _ -> fail path "designs" "missing"
-  end;
-  (* E8: the runner's determinism contract — every worker count of the
-     scaling curve completes all shards and reproduces the 1-worker
-     merged snapshot byte-for-byte. *)
-  if String.equal experiment "E8" then begin
-    match Json.member "points" j with
-    | Some (Json.List pts) ->
-      List.iteri
-        (fun i p ->
-           (match Json.member "merged_identical" p with
-            | Some (Json.Bool true) -> ()
-            | _ ->
-              fail path
-                (Fmt.str "points[%d].merged_identical" i)
-                "merged snapshot differs from the 1-worker run");
-           match (Json.member "completed" p, Json.member "shards" p) with
-           | Some (Json.Int c), Some (Json.Int s) when c = s -> ()
-           | _ ->
-             fail path
-               (Fmt.str "points[%d].completed" i)
-               "campaign did not complete every shard")
-        pts
-    | _ -> fail path "points" "missing"
-  end;
-  (* E10: the span ledger must be trustworthy before its utilization
-     numbers are — at 1 worker the shard spans account for >= 95% of
-     the campaign span, nothing is dropped, and every point completes
-     the whole campaign. *)
-  if String.equal experiment "E10" then begin
-    (match Json.member "spans_account_ok" j with
-     | Some (Json.Bool true) -> ()
-     | _ ->
-       fail path "spans_account_ok"
-         (Fmt.str
-            "shard spans cover < 95%% of the 1-worker campaign span \
-             (ratio %g)"
-            (match Json.member "spans_account_ratio" j with
-             | Some v -> flt v
-             | None -> nan)));
-    match Json.member "points" j with
-    | Some (Json.List pts) ->
-      List.iteri
-        (fun i p ->
-           (match Json.member "spans_dropped" p with
-            | Some (Json.Int 0) -> ()
-            | _ ->
-              fail path
-                (Fmt.str "points[%d].spans_dropped" i)
-                "span ring overflowed; raise the recorder capacity");
-           match (Json.member "completed" p, Json.member "shards" p) with
-           | Some (Json.Int c), Some (Json.Int s) when c = s -> ()
-           | _ ->
-             fail path
-               (Fmt.str "points[%d].completed" i)
-               "campaign did not complete every shard")
-        pts
-    | _ -> fail path "points" "missing"
-  end;
-  (* Sec. 4.3: every squash replays in exactly one cycle — both in the
-     trace timelines and in the replay-penalty histogram. *)
-  (match Json.member "speculation" j with
-   | Some (Json.List tls) ->
-     List.iter
-       (fun tl ->
-          match Json.member "squash_penalties" tl with
-          | Some (Json.List ps) ->
-            List.iter
-              (function
-                | Json.Int 1 -> ()
-                | p ->
-                  fail path "speculation.squash_penalties"
-                    (Fmt.str "squash penalty %s <> 1 cycle"
-                       (Json.to_string p)))
-              ps
-          | _ -> ())
-       tls
-   | _ -> ());
-  match Json.member "metrics" j with
-  | None -> ()
-  | Some m -> (
-      match Json.member "schedulers" m with
-      | Some (Json.List ss) ->
-        List.iter
-          (fun s ->
-             match
-               ( Json.member "replays" s,
-                 Json.member "replay_p50" s,
-                 Json.member "replay_p99" s )
-             with
-             | Some (Json.Int r), Some (Json.Int p50), Some (Json.Int p99)
-               when r > 0 ->
-               if p50 <> 1 || p99 <> 1 then
-                 fail path "metrics.schedulers"
-                   (Fmt.str
-                      "replay penalty not concentrated at 1 cycle (p50 \
-                       %d, p99 %d)"
-                      p50 p99)
-             | _ -> ())
-          ss
-      | _ -> ())
-
 let check_mode ~dir files =
   let failures = ref 0 in
   let fail file path reason =
     incr failures;
     Fmt.epr "REGRESSION %s: %s: %s@." file path reason
   in
-  List.iter (fun (path, j) -> claim_checks fail path j) files;
+  List.iter (fun (file, path, reason) -> fail file path reason)
+    (List.rev !claims);
   List.iter
     (fun (path, current) ->
        let bpath = Filename.concat dir path in
@@ -1398,43 +1312,32 @@ let check_mode ~dir files =
     exit 1
   end
 
+(* Builds and writes the records in order, so the claims they check are
+   collected in record order too. *)
 let json_mode ~quick ~trace () =
   run_mode := (if quick then "quick" else "full");
-  let n = if quick then 100 else 400 in
-  let e5_pcts = if quick then [ 0; 5; 20 ] else [ 0; 1; 5; 10; 20; 40 ] in
-  let e6_pcts = if quick then [ 0; 5; 25 ] else [ 0; 2; 5; 10; 25 ] in
   let artifact base = if trace then Some base else None in
-  let files =
-    [ ("BENCH_E1.json", json_e1 ~cycles:64 ());
-      ("BENCH_E2.json", json_e2 ~cycles:n ());
-      ("BENCH_E3.json", json_e3 ());
-      ("BENCH_E5.json",
-       json_e5 ~n ~pcts:e5_pcts ?artifact:(artifact "TRACE_E5") ());
-      ("BENCH_E6.json",
-       json_e6 ~n ~pcts:e6_pcts ?artifact:(artifact "TRACE_E6") ());
-      ("BENCH_E8.json", json_e8 ~count:(if quick then 24 else 96) ());
-      ("BENCH_E9.json", json_e9 ~cycles:(if quick then 4_000 else 20_000) ());
-      ("BENCH_E10.json",
-       json_e10 ~count:(if quick then 24 else 60)
-         ?artifact:(artifact "SPANS_E10") ()) ]
-  in
-  List.iter
-    (fun (path, j) ->
+  List.map
+    (fun (path, build) ->
+       let j = build () in
        Json.write path j;
-       let reduction =
-         match j with
-         | Json.Obj fields -> (
-             match List.assoc_opt "engine" fields with
-             | Some (Json.Obj e) -> (
-                 match List.assoc_opt "eval_reduction" e with
-                 | Some (Json.Float r) -> Fmt.str " (eval reduction %.2fx)" r
-                 | _ -> "")
-             | _ -> "")
-         | _ -> ""
-       in
-       Fmt.pr "wrote %s%s@." path reduction)
-    files;
-  files
+       let engine = Json.member "engine" j in
+       Fmt.pr "wrote %s%s@." path
+         (match Option.bind engine (Json.member "eval_reduction") with
+          | Some (Json.Float r) -> Fmt.str " (eval reduction %.2fx)" r
+          | _ -> "");
+       (path, j))
+    [ ("BENCH_E1.json", fun () -> json_e1 (e1_table1 ()));
+      ("BENCH_E2.json", fun () -> json_e2 (e2_fig1 ~quick));
+      ("BENCH_E3.json", fun () -> json_e3 (e3_verify ()));
+      ("BENCH_E5.json",
+       fun () -> json_e5 ?artifact:(artifact "TRACE_E5") (e5_fig6 ~quick));
+      ("BENCH_E6.json",
+       fun () -> json_e6 ?artifact:(artifact "TRACE_E6") (e6_fig7 ~quick));
+      ("BENCH_E8.json", fun () -> json_e8 ~quick);
+      ("BENCH_E9.json", fun () -> json_e9 ~quick);
+      ("BENCH_E10.json",
+       fun () -> json_e10 ?artifact:(artifact "SPANS_E10") ~quick ()) ]
 
 let () =
   let args = Array.to_list Sys.argv in
@@ -1460,11 +1363,11 @@ let () =
     Fmt.pr
       "Reproduction harness for \"Speculation in Elastic Systems\" (DAC \
        2009)@.";
-    e1_table1 ();
-    e2_fig1 ();
-    e3_e4_verify ();
-    e5_fig6 ();
-    e6_fig7 ();
+    print_e1 (e1_table1 ());
+    print_e2 (e2_fig1 ~quick:false);
+    print_e3 (e3_verify ());
+    print_e5 (e5_fig6 ~quick:false);
+    print_e6 (e6_fig7 ~quick:false);
     e7_faults ();
     a1_recovery ();
     a2_schedulers ();

@@ -304,6 +304,12 @@ let rs_speculative_alarmed ~ops =
   in
   (d, Option.get alarm)
 
+let rs_secded_setup ~ops =
+  let d, alarm = rs_speculative_alarmed ~ops in
+  let src = Option.get (Netlist.find_node d.d_net "src") in
+  let bus = List.hd (Netlist.outgoing d.d_net src.Netlist.id) in
+  (d, [ (alarm, fun v -> Value.to_int v >= 2) ], bus.Netlist.ch_id)
+
 (* ------------------------------------------------------------------ *)
 (* Sec. 1 motivation: a next-PC loop running a 7-instruction program     *)
 (* with an inner branch (taken 3 of 4) and an outer branch (monotone).  *)

@@ -73,6 +73,13 @@ val rs_speculative_with :
 val rs_speculative_alarmed :
   ops:rs_op list -> design * Netlist.node_id
 
+(** The SECDED fault-campaign setup: {!rs_speculative_alarmed}, its
+    severity alarm tripping on values [>= 2], and the operand bus out of
+    ["src"] (two SECDED(72,64) codewords, 144 bits) where upsets land. *)
+val rs_secded_setup :
+  ops:rs_op list ->
+  design * (Netlist.node_id * (Value.t -> bool)) list * Netlist.channel_id
+
 (** Golden sums (errors corrected). *)
 val rs_reference : rs_op list -> Value.t list
 

@@ -412,8 +412,7 @@ let emit ppf ~model net =
 let to_string ~model net = Fmt.str "%a" (fun ppf () -> emit ppf ~model net) ()
 
 let save path ~model net =
-  let oc = open_out path in
-  let ppf = Format.formatter_of_out_channel oc in
-  emit ppf ~model net;
-  Format.pp_print_flush ppf ();
-  close_out oc
+  Out_channel.with_open_text path (fun oc ->
+      let ppf = Format.formatter_of_out_channel oc in
+      emit ppf ~model net;
+      Format.pp_print_flush ppf ())

@@ -41,8 +41,7 @@ let emit ppf t =
 let to_string t = Fmt.str "%a" emit t
 
 let save path t =
-  let oc = open_out path in
-  let ppf = Format.formatter_of_out_channel oc in
-  emit ppf t;
-  Format.pp_print_flush ppf ();
-  close_out oc
+  Out_channel.with_open_text path (fun oc ->
+      let ppf = Format.formatter_of_out_channel oc in
+      emit ppf t;
+      Format.pp_print_flush ppf ())

@@ -364,11 +364,10 @@ let parse text =
   | Invalid_argument m -> Error m
 
 let save path net =
-  let oc = open_out path in
-  let ppf = Format.formatter_of_out_channel oc in
-  write ppf net;
-  Format.pp_print_flush ppf ();
-  close_out oc
+  Out_channel.with_open_text path (fun oc ->
+      let ppf = Format.formatter_of_out_channel oc in
+      write ppf net;
+      Format.pp_print_flush ppf ())
 
 let load path =
   match open_in path with

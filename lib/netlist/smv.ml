@@ -364,8 +364,7 @@ let emit ppf net =
 let to_string net = Fmt.str "%a" emit net
 
 let save path net =
-  let oc = open_out path in
-  let ppf = Format.formatter_of_out_channel oc in
-  emit ppf net;
-  Format.pp_print_flush ppf ();
-  close_out oc
+  Out_channel.with_open_text path (fun oc ->
+      let ppf = Format.formatter_of_out_channel oc in
+      emit ppf net;
+      Format.pp_print_flush ppf ())

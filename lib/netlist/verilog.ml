@@ -509,8 +509,7 @@ let emit ppf ~top net =
 let to_string ~top net = Fmt.str "%a" (fun ppf () -> emit ppf ~top net) ()
 
 let save path ~top net =
-  let oc = open_out path in
-  let ppf = Format.formatter_of_out_channel oc in
-  emit ppf ~top net;
-  Format.pp_print_flush ppf ();
-  close_out oc
+  Out_channel.with_open_text path (fun oc ->
+      let ppf = Format.formatter_of_out_channel oc in
+      emit ppf ~top net;
+      Format.pp_print_flush ppf ())

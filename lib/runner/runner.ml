@@ -84,11 +84,10 @@ type w_acc = {
   mutable a_steals : int;
 }
 
-let run ?workers ?(max_attempts = 3) ?(backoff = Backoff.default)
-    ?(seed = 2009) ?(classify = default_classify) ?shard_deadline
-    ?campaign_deadline ?(clock = Clock.monotonic) ?(sleep = Unix.sleepf)
-    ?checkpoint ?resume ?command ?stop_after ?registry ?obs ?progress
-    ~name tasks =
+let run ?workers ?(max_attempts = 3) ?(seed = 2009)
+    ?(classify = default_classify) ?shard_deadline ?campaign_deadline
+    ?(clock = Clock.monotonic) ?(sleep = Unix.sleepf) ?checkpoint ?resume
+    ?command ?stop_after ?registry ?obs ?progress ~name tasks =
   let nw =
     match workers with
     | Some w when w <= 0 -> invalid_arg "Runner.run: non-positive workers"
@@ -366,7 +365,7 @@ let run ?workers ?(max_attempts = 3) ?(backoff = Backoff.default)
          | None -> ());
         if cls = Transient && attempt < max_attempts then begin
           stats.(w).a_retries <- stats.(w).a_retries + 1;
-          let delay = Backoff.delay backoff ~rng ~attempt in
+          let delay = Backoff.delay Backoff.default ~rng ~attempt in
           (match (r, att_scope) with
            | Some rc, Some sc ->
              let bsc =

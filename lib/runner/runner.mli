@@ -11,10 +11,10 @@
       shards and the run keep going.
     - {b deadlines}: per-shard and per-campaign wall-clock budgets
       (cycle budgets live in the engine as [max_cycles] / typed E110).
-    - {b retry}: transiently-failed shards retry in-worker with seeded
-      exponential {!Backoff}; deterministic failures ([Simulation_error],
-      [Diagnostic.Reject], ...) are classified {!Permanent} and never
-      retried.
+    - {b retry}: transiently-failed shards retry in-worker with the
+      seeded exponential {!Backoff.default}; deterministic failures
+      ([Simulation_error], [Diagnostic.Reject], ...) are classified
+      {!Permanent} and never retried.
     - {b checkpoint/resume}: completed shards append their exact sample
       snapshot to a {!Checkpoint} file; a resumed run adopts matching
       entries and recomputes nothing.
@@ -105,7 +105,6 @@ type report = {
     @param workers pool size (default [Pool_backend.recommended ()]);
       shard [i] starts on worker [i mod workers], idle workers steal.
     @param max_attempts per shard, >= 1 (default 3).
-    @param backoff retry delay policy (default {!Backoff.default}).
     @param seed drives backoff jitter only (default 2009).
     @param classify failure triage (default {!default_classify}).
     @param shard_deadline wall seconds per {e attempt}.
@@ -145,7 +144,6 @@ type report = {
 val run :
   ?workers:int ->
   ?max_attempts:int ->
-  ?backoff:Backoff.policy ->
   ?seed:int ->
   ?classify:(exn -> classification) ->
   ?shard_deadline:float ->

@@ -215,7 +215,16 @@ let blif_suite =
           (try
              ignore (Blif.to_string ~model:"m" b.net);
              false
-           with Invalid_argument _ -> true)) ]
+           with Invalid_argument _ -> true);
+        (* [save] raises too, and closes the file it opened. *)
+        if Sys.file_exists "/proc/self/fd" then begin
+          let fds () = Array.length (Sys.readdir "/proc/self/fd") in
+          let path = Filename.temp_file "elastic" ".blif" in
+          let before = fds () in
+          (try Blif.save path ~model:"m" b.net with Invalid_argument _ -> ());
+          Alcotest.(check int) "save closed its file" before (fds ());
+          Sys.remove path
+        end) ]
 
 let base_suite = verilog_suite @ smv_suite @ dot_suite @ blif_suite
 

@@ -7,20 +7,6 @@ open Elastic_fault
 (* ------------------------------------------------------------------ *)
 (* Helpers                                                              *)
 
-let channel_from net node_name =
-  let n =
-    match Netlist.find_node net node_name with
-    | Some n -> n
-    | None -> Alcotest.failf "no node named %s" node_name
-  in
-  match
-    List.find_opt
-      (fun (c : Netlist.channel) -> c.Netlist.src.Netlist.ep_node = n.Netlist.id)
-      (Netlist.channels net)
-  with
-  | Some c -> c
-  | None -> Alcotest.failf "node %s drives no channel" node_name
-
 let channel_into net node_name =
   let n =
     match Netlist.find_node net node_name with
@@ -36,11 +22,7 @@ let channel_into net node_name =
   | None -> Alcotest.failf "nothing drives node %s" node_name
 
 let alarmed ?(n = 60) () =
-  let ops = Examples.rs_ops ~error_rate_pct:0 ~seed:11 n in
-  let d, alarm = Examples.rs_speculative_alarmed ~ops in
-  (d, alarm)
-
-let rs_alarms alarm = [ (alarm, fun v -> Value.to_int v >= 2) ]
+  Examples.rs_secded_setup ~ops:(Examples.rs_ops ~error_rate_pct:0 ~seed:11 n)
 
 (* ------------------------------------------------------------------ *)
 (* Fault model unit tests                                               *)
@@ -72,9 +54,8 @@ let test_flip_value () =
     (Value.equal v (Fault.flip_value [ 999 ] v))
 
 let test_describe () =
-  let d, _ = alarmed () in
-  let ch = channel_from d.Examples.d_net "src" in
-  let f = Fault.flip_bit ~channel:ch.Netlist.ch_id ~cycle:7 17 in
+  let d, _, bus = alarmed () in
+  let f = Fault.flip_bit ~channel:bus ~cycle:7 17 in
   let s = Fault.describe d.Examples.d_net f in
   List.iter
     (fun frag ->
@@ -86,7 +67,7 @@ let test_describe () =
 (* Structured engine errors                                             *)
 
 let test_structured_error () =
-  let d, _ = alarmed ~n:4 () in
+  let d, _, _ = alarmed ~n:4 () in
   let eng = Engine.create d.Examples.d_net in
   (match Engine.sink_stream eng 999 with
    | exception Engine.Simulation_error e ->
@@ -104,12 +85,10 @@ let test_structured_error () =
 (* Recovery classification on the §5.2 resilient adder                  *)
 
 let test_single_flip_corrected () =
-  let d, alarm = alarmed () in
-  let net = d.Examples.d_net in
-  let ch = channel_from net "src" in
+  let d, alarms, bus = alarmed () in
   let r =
-    Recovery.check ~cycles:120 net ~alarms:(rs_alarms alarm)
-      ~faults:[ Fault.flip_bit ~channel:ch.Netlist.ch_id ~cycle:10 17 ]
+    Recovery.check ~cycles:120 d.Examples.d_net ~alarms
+      ~faults:[ Fault.flip_bit ~channel:bus ~cycle:10 17 ]
   in
   (match r.Recovery.classification with
    | Recovery.Corrected p ->
@@ -121,12 +100,10 @@ let test_single_flip_corrected () =
     (r.Recovery.fresh_violations = [])
 
 let test_double_flip_detected () =
-  let d, alarm = alarmed () in
-  let net = d.Examples.d_net in
-  let ch = channel_from net "src" in
+  let d, alarms, bus = alarmed () in
   let r =
-    Recovery.check ~cycles:120 net ~alarms:(rs_alarms alarm)
-      ~faults:[ Fault.flip_bits ~channel:ch.Netlist.ch_id ~cycle:12 [ 3; 40 ] ]
+    Recovery.check ~cycles:120 d.Examples.d_net ~alarms
+      ~faults:[ Fault.flip_bits ~channel:bus ~cycle:12 [ 3; 40 ] ]
   in
   match r.Recovery.classification with
   | Recovery.Detected why ->
@@ -136,12 +113,10 @@ let test_double_flip_detected () =
     Alcotest.failf "expected detected, got %a" Recovery.pp_classification c
 
 let test_control_glitch_detected () =
-  let d, alarm = alarmed () in
-  let net = d.Examples.d_net in
-  let ch = channel_from net "src" in
+  let d, alarms, bus = alarmed () in
   let r =
-    Recovery.check ~cycles:120 net ~alarms:(rs_alarms alarm)
-      ~faults:(Fault.control_glitch ~channel:ch.Netlist.ch_id ~cycle:20)
+    Recovery.check ~cycles:120 d.Examples.d_net ~alarms
+      ~faults:(Fault.control_glitch ~channel:bus ~cycle:20)
   in
   match r.Recovery.classification with
   | Recovery.Detected why ->
@@ -158,11 +133,11 @@ let test_crash_has_provenance () =
   (* Dropping the valid of a retried token on the early mux's output
      desynchronizes its anti-token bookkeeping; the engine must surface
      that as a structured error with node provenance, not a bare assert. *)
-  let d, alarm = alarmed () in
+  let d, alarms, _ = alarmed () in
   let net = d.Examples.d_net in
   let ch = channel_into net "out" in
   let r =
-    Recovery.check ~cycles:120 net ~alarms:(rs_alarms alarm)
+    Recovery.check ~cycles:120 net ~alarms
       ~faults:(Fault.control_glitch ~channel:ch.Netlist.ch_id ~cycle:20)
   in
   match r.Recovery.classification with
@@ -177,7 +152,7 @@ let test_crash_has_provenance () =
       Recovery.pp_classification c
 
 let test_mispredict_corrected () =
-  let d, alarm = alarmed () in
+  let d, alarms, _ = alarmed () in
   let net = d.Examples.d_net in
   let stage =
     match Netlist.find_node net "stage" with
@@ -185,7 +160,7 @@ let test_mispredict_corrected () =
     | None -> Alcotest.fail "no stage node"
   in
   let r =
-    Recovery.check ~cycles:120 net ~alarms:(rs_alarms alarm)
+    Recovery.check ~cycles:120 net ~alarms
       ~faults:[ Fault.mispredict ~node:stage ~cycle:15 1 ]
   in
   match r.Recovery.classification with
@@ -197,12 +172,10 @@ let test_mispredict_corrected () =
 let test_duplicate_after_drain () =
   (* Forge a token on the drained source channel: the checker must see the
      spurious extra transfer. *)
-  let d, alarm = alarmed ~n:20 () in
-  let net = d.Examples.d_net in
-  let ch = channel_from net "src" in
+  let d, alarms, bus = alarmed ~n:20 () in
   let r =
-    Recovery.check ~cycles:120 net ~alarms:(rs_alarms alarm)
-      ~faults:[ Fault.duplicate_token ~channel:ch.Netlist.ch_id ~cycle:60 ]
+    Recovery.check ~cycles:120 d.Examples.d_net ~alarms
+      ~faults:[ Fault.duplicate_token ~channel:bus ~cycle:60 ]
   in
   match r.Recovery.classification with
   | Recovery.Silent_corruption why ->
@@ -219,8 +192,8 @@ let test_duplicate_after_drain () =
 (* The fault lists of the classification tests above, on one netlist:
    corrected, detected by alarm, detected by monitor, crashed (or
    detected), benign mispredict. *)
-let classified_faults net =
-  let src = (channel_from net "src").Netlist.ch_id in
+let classified_faults (d, _, src) =
+  let net = d.Examples.d_net in
   let out = (channel_into net "out").Netlist.ch_id in
   let stage =
     match Netlist.find_node net "stage" with
@@ -234,8 +207,8 @@ let classified_faults net =
     [ Fault.mispredict ~node:stage ~cycle:15 1 ] ]
 
 let test_check_against_golden () =
-  let check_pair (d, alarm) faults =
-    let net = d.Examples.d_net and alarms = rs_alarms alarm in
+  let check_pair (d, alarms, _) faults =
+    let net = d.Examples.d_net in
     let fresh = Recovery.check ~cycles:120 net ~alarms ~faults in
     let split =
       Recovery.check_against (Recovery.golden ~cycles:120 ~alarms net)
@@ -247,15 +220,10 @@ let test_check_against_golden () =
       true (fresh = split);
     Recovery.classification_label fresh.Recovery.classification
   in
-  let d60 = alarmed () and d20 = alarmed ~n:20 () in
-  let labels =
-    List.map (check_pair d60) (classified_faults (fst d60).Examples.d_net)
-  in
+  let d60 = alarmed () and ((_, _, bus20) as d20) = alarmed ~n:20 () in
+  let labels = List.map (check_pair d60) (classified_faults d60) in
   let dup =
-    check_pair d20
-      [ Fault.duplicate_token
-          ~channel:(channel_from (fst d20).Examples.d_net "src").Netlist.ch_id
-          ~cycle:60 ]
+    check_pair d20 [ Fault.duplicate_token ~channel:bus20 ~cycle:60 ]
   in
   (* Every classification the suite reaches is covered. *)
   Alcotest.(check (list string)) "classifications"
@@ -264,10 +232,10 @@ let test_check_against_golden () =
     (labels @ [ dup ])
 
 let test_golden_reused () =
-  let d, alarm = alarmed () in
-  let net = d.Examples.d_net and alarms = rs_alarms alarm in
+  let ((d, alarms, _) as setup) = alarmed () in
+  let net = d.Examples.d_net in
   let golden = Recovery.golden ~cycles:120 ~alarms net in
-  let scenarios = classified_faults net in
+  let scenarios = classified_faults setup in
   let fresh =
     List.map (fun faults -> Recovery.check ~cycles:120 net ~alarms ~faults)
       scenarios
@@ -285,7 +253,7 @@ let test_golden_reused () =
   Alcotest.(check bool) "backwards" true (backwards = fresh)
 
 let test_bad_alarm_fails_fast () =
-  let d, _ = alarmed () in
+  let d, _, _ = alarmed () in
   let net = d.Examples.d_net in
   let src =
     match Netlist.find_node net "src" with
@@ -305,38 +273,32 @@ let test_bad_alarm_fails_fast () =
 (* Campaigns                                                            *)
 
 let test_campaign_deterministic_and_benign () =
-  let d, alarm = alarmed () in
+  let d, alarms, bus = alarmed () in
   let net = d.Examples.d_net in
-  let ch = channel_from net "src" in
   let scenarios () =
-    Campaign.random_bitflips ~net ~channel:ch.Netlist.ch_id ~seed:42
+    Campaign.random_bitflips ~net ~channel:bus ~seed:42
       ~count:25 ~from_cycle:2 ~to_cycle:60 ~bit_hi:144 ()
   in
   Alcotest.(check bool) "same seed, same scenarios" true
     (scenarios () = scenarios ());
-  let s = Campaign.run ~cycles:120 net ~alarms:(rs_alarms alarm)
-      ~scenarios:(scenarios ())
+  let s = Campaign.run ~cycles:120 net ~alarms ~scenarios:(scenarios ())
   in
   Alcotest.(check int) "all scenarios ran" 25 s.Campaign.total;
   Alcotest.(check bool) "single-bit faults are benign" true
     (Campaign.all_benign s);
-  let s' = Campaign.run ~cycles:120 net ~alarms:(rs_alarms alarm)
-      ~scenarios:(scenarios ())
+  let s' = Campaign.run ~cycles:120 net ~alarms ~scenarios:(scenarios ())
   in
   Alcotest.(check bool) "same seed, same histogram" true
     (s.Campaign.histogram = s'.Campaign.histogram)
 
 let test_campaign_double_flips_detected () =
-  let d, alarm = alarmed () in
+  let d, alarms, bus = alarmed () in
   let net = d.Examples.d_net in
-  let ch = channel_from net "src" in
   let scenarios =
-    Campaign.random_double_flips ~net ~channel:ch.Netlist.ch_id ~seed:7
+    Campaign.random_double_flips ~net ~channel:bus ~seed:7
       ~count:8 ~from_cycle:2 ~to_cycle:60 ~bit_lo:0 ~bit_hi:72 ()
   in
-  let s =
-    Campaign.run ~cycles:120 net ~alarms:(rs_alarms alarm) ~scenarios
-  in
+  let s = Campaign.run ~cycles:120 net ~alarms ~scenarios in
   Alcotest.(check int) "all detected" 8 (Campaign.count s "detected")
 
 let suite =

@@ -1,5 +1,3 @@
-open Elastic_kernel
-open Elastic_netlist
 open Elastic_sim
 open Elastic_core
 open Elastic_fault
@@ -370,34 +368,16 @@ let test_runner_health_metrics () =
 (* --- campaign workload: equivalence with the sequential runner ------ *)
 
 let alarmed () =
-  let ops = Examples.rs_ops ~error_rate_pct:0 ~seed:11 40 in
-  Examples.rs_speculative_alarmed ~ops
-
-let rs_alarms alarm = [ (alarm, fun v -> Value.to_int v >= 2) ]
-
-let src_channel net =
-  let src =
-    match Netlist.find_node net "src" with
-    | Some n -> n
-    | None -> Alcotest.fail "no node named src"
-  in
-  match
-    List.find_opt
-      (fun (c : Netlist.channel) ->
-         c.Netlist.src.Netlist.ep_node = src.Netlist.id)
-      (Netlist.channels net)
-  with
-  | Some c -> c.Netlist.ch_id
-  | None -> Alcotest.fail "no channel out of src"
+  Examples.rs_secded_setup ~ops:(Examples.rs_ops ~error_rate_pct:0 ~seed:11 40)
 
 let campaign_fixture ~seed ~count =
-  let d, alarm = alarmed () in
+  let d, alarms, bus = alarmed () in
   let net = d.Examples.d_net in
   let scenarios =
-    Campaign.random_bitflips ~net ~channel:(src_channel net) ~seed ~count
-      ~from_cycle:2 ~to_cycle:40 ~bit_hi:144 ()
+    Campaign.random_bitflips ~net ~channel:bus ~seed ~count ~from_cycle:2
+      ~to_cycle:40 ~bit_hi:144 ()
   in
-  (net, rs_alarms alarm, scenarios)
+  (net, alarms, scenarios)
 
 let test_workload_matches_sequential_campaign () =
   let net, alarms, scenarios = campaign_fixture ~seed:42 ~count:10 in
@@ -595,7 +575,7 @@ let qcheck_equivalence =
 (* --- engine cycle budgets (E110) ----------------------------------- *)
 
 let test_engine_max_cycles () =
-  let d, _ = alarmed () in
+  let d, _, _ = alarmed () in
   let eng = Engine.create ~max_cycles:5 d.Examples.d_net in
   for _ = 1 to 5 do
     ignore (Engine.step eng)
@@ -613,7 +593,7 @@ let test_engine_max_cycles () =
         ignore (Engine.create ~max_cycles:(-1) d.Examples.d_net))
 
 let test_engine_settle_budget_code () =
-  let d, _ = alarmed () in
+  let d, _, _ = alarmed () in
   let eng =
     Engine.create ~mode:Engine.Reference ~max_passes:0 d.Examples.d_net
   in
